@@ -16,6 +16,7 @@ from .ops import (
     check_domination,
     custom_op,
     drastic_op,
+    eval_grid,
     eval_op,
     greatest_op,
     luk_conorm_op,

@@ -11,30 +11,47 @@ studied deliberately.
 
 Scalar sufficient conditions (the per-threshold inequalities coupling
 the aggregation to the integral op) are checked over finite grids and
-cached per parameter set, since campaigns reuse them heavily.
+cached per parameter set, since campaigns reuse them heavily.  Each grid
+is evaluated as arrays, one broadcast per step of the condition, through
+:class:`~fuzzyint.ops.GridEval`: the witness is the first failing node in
+the order of a loop over the grid, and an out-of-domain evaluation raises
+only where that loop would have reached it.  Powers and transforms on a
+grid are the scalar functions applied to each distinct value, so they
+are bit for bit the ones the verdicts use.  The threshold optimiser and
+the verdicts themselves keep the scalar ``eval_op``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .ops import (
     INF,
     BinaryOp,
     CheckResult,
+    GridEval,
     InputError,
     KIND_MAX,
     KIND_MIN,
     PropertyReport,
+    check_table_nodes,
     eval_op,
+    max_grid,
     max_op,
+    min_grid,
     min_op,
+    nearest_index,
+    nearest_indices,
     prod_op,
     sum_op,
     verify_op_properties,
     xmul,
+    xmul_grid,
 )
 from .functions import (
     FiniteFunction,
@@ -121,6 +138,7 @@ class NaryOp:
             if any(w < 0.0 for w in self.weights) or sum(self.weights) <= 0.0:
                 raise InputError("weights must be nonnegative with positive sum")
         if self.kind == "table":
+            check_table_nodes(self.nodes)
             if len(self.values) != len(self.nodes) ** self.arity:
                 raise InputError("table needs len(nodes)**arity values")
 
@@ -141,13 +159,32 @@ class NaryOp:
             return sum(w * a for w, a in zip(self.weights, args)) / total
         idx = 0
         for a in args:
-            best, bd = 0, INF
-            for i, t in enumerate(self.nodes):
-                d = abs(t - a)
-                if d < bd:
-                    best, bd = i, d
-            idx = idx * len(self.nodes) + best
+            idx = idx * len(self.nodes) + nearest_index(self.nodes, a)
         return self.values[idx]
+
+    def eval_grid(self, args: Sequence[np.ndarray]) -> np.ndarray:
+        """H over broadcast arrays, element for element equal to __call__."""
+        if self.kind in ("min", "max"):
+            pick = min_grid if self.kind == "min" else max_grid
+            out = args[0]
+            for a in args[1:]:
+                out = pick(out, a)
+            return out
+        if self.kind == "prod":
+            out = 1.0
+            for a in args:
+                out = xmul_grid(out, a)
+            return out
+        if self.kind == "wmean":
+            total = sum(self.weights)
+            out = 0.0
+            for w, a in zip(self.weights, args):
+                out = out + w * a
+            return out / total
+        idx = 0
+        for a in args:
+            idx = idx * len(self.nodes) + nearest_indices(self.nodes, a)
+        return np.asarray(self.values, dtype=float)[idx]
 
 
 def h_min(arity: int = 2) -> NaryOp:
@@ -418,107 +455,129 @@ def _range_nodes(hi: float, n: int) -> tuple[float, ...]:
     return tuple(hi * i / (n - 1) for i in range(n))
 
 
+def _axis(nodes: Sequence[float], axis: int, ndim: int) -> np.ndarray:
+    """nodes laid out along one axis of an ndim-axis grid."""
+    shape = [1] * ndim
+    shape[axis] = len(nodes)
+    return np.asarray(nodes, dtype=float).reshape(shape)
+
+
+def _pow_grid(g: GridEval, x, e: float):
+    if e == 1.0:
+        return x
+    return g.map(partial(_pow, e=e), x)
+
+
+@np.errstate(all="ignore")
 def _two_function_condition(
     op: BinaryOp, star: BinaryOp, xi, om, reverse: bool, dnodes, cnodes
 ) -> CheckResult:
     xi0, xi1, xi2 = xi
     om0, om1, om2 = om
+    # node (a, b, c), visited in C order
+    a, b, c = _axis(dnodes, 0, 3), _axis(dnodes, 1, 3), _axis(cnodes, 2, 3)
+    g = GridEval()
     # clamp intermediates so mixed-cap pairings stay inside each domain
-    for a in dnodes:
-        for b in dnodes:
-            sab = eval_op(star, min(a, star.cap), min(b, star.cap))
-            for c in cnodes:
-                lhs = _pow(eval_op(op, min(_pow(sab, xi0), op.cap), c), om0)
-                r1 = eval_op(
-                    star, min(_pow(eval_op(op, _pow(a, xi1), c), om1), star.cap), min(b, star.cap)
-                )
-                r2 = eval_op(
-                    star, min(a, star.cap), min(_pow(eval_op(op, _pow(b, xi2), c), om2), star.cap)
-                )
-                if reverse:
-                    bound = min(r1, r2)
-                    if lhs > bound + _SCALAR_SLACK:
-                        return CheckResult("scalar_condition", False, (a, b, c))
-                else:
-                    bound = max(r1, r2)
-                    if lhs < bound - _SCALAR_SLACK:
-                        return CheckResult("scalar_condition", False, (a, b, c))
-    return CheckResult("scalar_condition", True)
+    scap = star.cap
+    sab = g.op(star, min_grid(a, scap), min_grid(b, scap))
+    lhs = _pow_grid(g, g.op(op, min_grid(_pow_grid(g, sab, xi0), op.cap), c), om0)
+    r1 = g.op(
+        star,
+        min_grid(_pow_grid(g, g.op(op, _pow_grid(g, a, xi1), c), om1), scap),
+        min_grid(b, scap),
+    )
+    r2 = g.op(
+        star,
+        min_grid(a, scap),
+        min_grid(_pow_grid(g, g.op(op, _pow_grid(g, b, xi2), c), om2), scap),
+    )
+    if reverse:
+        fail = lhs > min_grid(r1, r2) + _SCALAR_SLACK
+    else:
+        fail = lhs < max_grid(r1, r2) - _SCALAR_SLACK
+    hit = g.first(fail)
+    if hit is None:
+        return CheckResult("scalar_condition", True)
+    i, j, k = hit
+    return CheckResult("scalar_condition", False, (dnodes[i], dnodes[j], cnodes[k]))
 
 
+@np.errstate(all="ignore")
 def _single_condition(tid: str, op: BinaryOp, phi, exps, dnodes, cnodes) -> CheckResult:
-    def ev(x, c):
-        return eval_op(op, min(x, op.cap), c)
+    if tid not in ("jensen", "rev_jensen", "thm33", "rev_transform", "lyapunov"):
+        raise InputError(f"no scalar condition for {tid}")
+    # node (a, c), visited in C order
+    a, c = _axis(dnodes, 0, 2), _axis(cnodes, 1, 2)
+    g = GridEval()
 
-    for a in dnodes:
-        for c in cnodes:
-            if tid == "jensen":
-                lhs = ev(phi[0].apply(a), c)
-                rhs = phi[0].apply(ev(a, c))
-                bad = lhs < rhs - _SCALAR_SLACK
-            elif tid == "rev_jensen":
-                lhs = phi[0].apply(ev(a, c))
-                rhs = ev(phi[0].apply(a), c)
-                bad = lhs > rhs + _SCALAR_SLACK
-            elif tid == "thm33":
-                lhs = _pinv(phi[0], ev(phi[0].apply(a), c))
-                rhs = _pinv(phi[1], ev(phi[1].apply(a), c))
-                bad = lhs < rhs - _SCALAR_SLACK
-            elif tid == "rev_transform":
-                lhs = _pinv(phi[0], ev(phi[0].apply(a), c))
-                rhs = _pinv(phi[1], ev(phi[1].apply(a), c))
-                bad = lhs > rhs + _SCALAR_SLACK
-            elif tid == "lyapunov":
-                r, s = exps
-                lhs = _pow(ev(_pow(a, s), c), 1.0 / s)
-                rhs = _pow(ev(_pow(a, r), c), 1.0 / r)
-                bad = lhs < rhs - _SCALAR_SLACK
-            else:
-                raise InputError(f"no scalar condition for {tid}")
-            if bad:
-                return CheckResult("scalar_condition", False, (a, c))
-    return CheckResult("scalar_condition", True)
+    def ev(x):
+        return g.op(op, min_grid(x, op.cap), c)
+
+    if tid == "jensen":
+        lhs = ev(g.map(phi[0].apply, a))
+        rhs = g.map(phi[0].apply, ev(a))
+        fail = lhs < rhs - _SCALAR_SLACK
+    elif tid == "rev_jensen":
+        lhs = g.map(phi[0].apply, ev(a))
+        rhs = ev(g.map(phi[0].apply, a))
+        fail = lhs > rhs + _SCALAR_SLACK
+    elif tid in ("thm33", "rev_transform"):
+        lhs = g.map(partial(_pinv, phi[0]), ev(g.map(phi[0].apply, a)))
+        rhs = g.map(partial(_pinv, phi[1]), ev(g.map(phi[1].apply, a)))
+        fail = lhs < rhs - _SCALAR_SLACK if tid == "thm33" else lhs > rhs + _SCALAR_SLACK
+    else:
+        r, s = exps
+        lhs = _pow_grid(g, ev(_pow_grid(g, a, s)), 1.0 / s)
+        rhs = _pow_grid(g, ev(_pow_grid(g, a, r)), 1.0 / r)
+        fail = lhs < rhs - _SCALAR_SLACK
+    hit = g.first(fail)
+    if hit is None:
+        return CheckResult("scalar_condition", True)
+    return CheckResult("scalar_condition", False, (dnodes[hit[0]], cnodes[hit[1]]))
 
 
+@np.errstate(all="ignore")
 def _nary_condition(
     tid: str, op: BinaryOp, H: NaryOp, u, psi, xi, om, reverse: bool, dnodes, cnodes
 ) -> CheckResult:
     n = H.arity
+    # node (args..., c), visited in C order
+    args = [_axis(dnodes, i, n + 1) for i in range(n)]
+    c = _axis(cnodes, n, n + 1)
+    transformed = tid in ("thm31", "thm41")
+    g = GridEval()
 
-    def ev(x, c):
-        return eval_op(op, min(x, op.cap), c)
+    def ev(x):
+        return g.op(op, min_grid(x, op.cap), c)
 
-    for args in _tuples(dnodes, n):
-        if tid in ("thm31", "thm41"):
-            base = tuple(psi[i].apply(args[i]) for i in range(n))
+    base = [g.map(psi[i].apply, args[i]) for i in range(n)] if transformed else args
+    hval = H.eval_grid(base)
+    if transformed:
+        lhs = g.map(partial(_pinv, u[0]), ev(g.map(u[0].apply, hval)))
+    else:
+        lhs = _pow_grid(g, ev(_pow_grid(g, hval, xi[0])), om[0])
+    best = None
+    for i in range(n):
+        if transformed:
+            inner = g.map(partial(_pinv, u[i + 1]), ev(g.map(u[i + 1].apply, args[i])))
+            repl = g.map(psi[i].apply, inner)
         else:
-            base = args
-        hval = H(base)
-        for c in cnodes:
-            if tid in ("thm31", "thm41"):
-                lhs = _pinv(u[0], ev(u[0].apply(hval), c))
-            else:
-                lhs = _pow(ev(_pow(hval, xi[0]), c), om[0])
-            best = None
-            for i in range(n):
-                if tid in ("thm31", "thm41"):
-                    repl = psi[i].apply(_pinv(u[i + 1], ev(u[i + 1].apply(args[i]), c)))
-                else:
-                    repl = _pow(ev(_pow(args[i], xi[i + 1]), c), om[i + 1])
-                side = H(base[:i] + (repl,) + base[i + 1 :])
-                if best is None:
-                    best = side
-                elif reverse:
-                    best = min(best, side)
-                else:
-                    best = max(best, side)
-            if reverse:
-                if lhs > best + _SCALAR_SLACK:
-                    return CheckResult("scalar_condition", False, args + (c,))
-            else:
-                if lhs < best - _SCALAR_SLACK:
-                    return CheckResult("scalar_condition", False, args + (c,))
-    return CheckResult("scalar_condition", True)
+            repl = _pow_grid(g, ev(_pow_grid(g, args[i], xi[i + 1])), om[i + 1])
+        side = H.eval_grid(base[:i] + [repl] + base[i + 1 :])
+        if best is None:
+            best = side
+        else:
+            best = min_grid(best, side) if reverse else max_grid(best, side)
+    if reverse:
+        fail = lhs > best + _SCALAR_SLACK
+    else:
+        fail = lhs < best - _SCALAR_SLACK
+    hit = g.first(fail)
+    if hit is None:
+        return CheckResult("scalar_condition", True)
+    return CheckResult(
+        "scalar_condition", False, tuple(dnodes[i] for i in hit[:n]) + (cnodes[hit[n]],)
+    )
 
 
 def check_scalar_condition(
@@ -540,8 +599,11 @@ def check_scalar_condition(
     transformed condition is the n-ary one with arity 2.  The grid spans
     [0, hi_data] for function values and [0, hi_measure] for measure
     values, defaulting to the op domain (capped at 2 when unbounded).
+    grid_n, when given, is the node count per axis and must be at least 2.
     Slack 1e-12 absorbs float noise from powers.
     """
+    if grid_n is not None and grid_n < 2:
+        raise InputError("grid needs at least 2 nodes")
     cap = op.cap if star is None else min(op.cap, star.cap)
     if hi_data is None:
         hi_data = 1.0 if cap == 1.0 else 2.0
@@ -552,13 +614,13 @@ def check_scalar_condition(
             raise InputError("two-function condition needs a pointwise operation")
         inst_like = _CondProxy(condition_id, exponents)
         xi, om = _two_function_exponents(inst_like)
-        n = grid_n or 13
+        n = 13 if grid_n is None else grid_n
         dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
         check = _two_function_condition(
             op, star, xi, om, condition_id in REVERSE_IDS, dnodes, cnodes
         )
     elif condition_id in SINGLE_FUNCTION_IDS:
-        n = grid_n or 21
+        n = 21 if grid_n is None else grid_n
         dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
         exps = None
         if condition_id == "lyapunov":
@@ -569,7 +631,7 @@ def check_scalar_condition(
         if H is None:
             raise InputError("n-ary condition needs an aggregation")
         per_axis = max(5, int(round(30000 ** (1.0 / (H.arity + 1)))))
-        n = grid_n or min(per_axis, 13)
+        n = min(per_axis, 13) if grid_n is None else grid_n
         dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
         xi = om = ()
         if condition_id in ("thm32", "thm42_h"):

@@ -10,13 +10,28 @@ neutral element, cap and a set of declared algebraic flags.  Declared flags
 are claims; :func:`verify_op_properties` checks them on a finite grid and
 reports witnesses for failures.  A grid pass is a certificate for the grid
 only, never a proof, and every report says so.
+
+There are two evaluators.  :func:`eval_op` takes one pair of floats; it is
+kept scalar on purpose, because the threshold optimiser and the pointwise
+paths call it one pair at a time, where numpy's per-call overhead would
+cost several times the evaluation.  :func:`eval_grid` evaluates op over
+broadcast float arrays with one array kernel per kind, and grid
+certificates go through :class:`GridEval`, which evaluates a whole grid at
+once yet reports the same first witness, and raises the same error, as a
+loop over the nodes in C order would.  Powers and transforms in grid
+checks are scalar ``**`` applied to the distinct values of an array:
+numpy's SIMD ``np.power`` can differ from ``**`` in the last ulp, and
+that is enough to flip a comparison at the 1e-12 slack.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 INF = math.inf
 
@@ -101,14 +116,54 @@ class BinaryOp:
         return self.name or self.kind
 
 
-def _nearest_index(nodes: Sequence[float], x: float) -> int:
-    # nodes are sorted; linear scan is fine for the small tables we ship
-    best, bd = 0, INF
-    for i, t in enumerate(nodes):
-        d = abs(t - x)
-        if d < bd:
-            best, bd = i, d
-    return best
+def check_table_nodes(nodes: Sequence[float]) -> None:
+    """Table nodes must be nonempty and strictly increasing (so no nan)."""
+    if not nodes:
+        raise InputError("table needs at least one node")
+    if any(t != t for t in nodes) or any(not s < t for s, t in zip(nodes, nodes[1:])):
+        raise InputError("table nodes must be strictly increasing")
+
+
+def nearest_index(nodes: Sequence[float], x: float) -> int:
+    """Index of the node nearest x in strictly increasing nodes.
+
+    A tie (x exactly halfway, after rounding the distances) goes to the
+    lower node.  When no node lies at a finite distance (x nan or
+    infinite), the answer is node 0.
+    """
+    j = bisect_left(nodes, x)
+    if j == 0:
+        return 0
+    k, d = j - 1, abs(nodes[j - 1] - x)
+    if j < len(nodes) and abs(nodes[j] - x) < d:
+        k, d = j, abs(nodes[j] - x)
+    else:
+        # rounded distances can tie over several lower nodes; take the first
+        while k > 0 and abs(nodes[k - 1] - x) == d:
+            k -= 1
+    return k if d < INF else 0
+
+
+@np.errstate(all="ignore")
+def nearest_indices(nodes: Sequence[float], x) -> np.ndarray:
+    """:func:`nearest_index` of every element of the array x."""
+    t = np.asarray(nodes, dtype=float)
+    x = np.asarray(x, dtype=float)
+    j = np.searchsorted(t, x, side="left")
+    lo = np.maximum(j - 1, 0)
+    hi = np.minimum(j, len(t) - 1)
+    d_lo, d_hi = np.abs(t[lo] - x), np.abs(t[hi] - x)
+    right = (j > 0) & (j < len(t)) & (d_hi < d_lo)
+    k = np.where(right, hi, lo)
+    d = np.where(right, d_hi, d_lo)
+    walk = ~right
+    while True:
+        prev = np.maximum(k - 1, 0)
+        walk &= (k > 0) & (np.abs(t[prev] - x) == d)
+        if not walk.any():
+            break
+        k = np.where(walk, prev, k)
+    return np.where((j > 0) & (d < INF), k, 0)
 
 
 def eval_op(op: BinaryOp, a: float, b: float) -> float:
@@ -159,11 +214,183 @@ def eval_op(op: BinaryOp, a: float, b: float) -> float:
         if op.fn is not None:
             return float(op.fn(a, b))
         if op.table_nodes:
-            i = _nearest_index(op.table_nodes, a)
-            j = _nearest_index(op.table_nodes, b)
+            i = nearest_index(op.table_nodes, a)
+            j = nearest_index(op.table_nodes, b)
             return op.table_values[i * len(op.table_nodes) + j]
         raise InputError("custom op needs fn or table")
     raise InputError(f"unknown op kind {k!r}")
+
+
+# -- array kernels ----------------------------------------------------------
+
+
+def min_grid(x, y):
+    """min(x, y) elementwise as the builtin picks it: y only if y < x."""
+    return np.where(y < x, y, x)
+
+
+def max_grid(x, y):
+    """max(x, y) elementwise as the builtin picks it: y only if y > x."""
+    return np.where(y > x, y, x)
+
+
+def xmul_grid(a, b):
+    """:func:`xmul` elementwise."""
+    return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
+
+
+def _custom_arrays(op: BinaryOp, a, b):
+    # fn-backed ops have no kernel; call eval_op once per element.  Any
+    # error is only flagged here: GridEval.first raises it again at the
+    # node where a loop would have met it.
+    a, b = np.broadcast_arrays(a, b)
+    out = np.full(a.shape, math.nan)
+    bad = np.zeros(a.shape, dtype=bool)
+    flat_out, flat_bad = out.reshape(-1), bad.reshape(-1)
+    for i, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
+        try:
+            flat_out[i] = eval_op(op, x, y)
+        except Exception:
+            flat_bad[i] = True
+    return out, bad
+
+
+@np.errstate(all="ignore")
+def _op_arrays(op: BinaryOp, a, b):
+    """op over broadcast arrays, with the mask of pairs eval_op rejects.
+
+    Rejected pairs hold nan; the mask is None when there are none.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ok = (a >= 0.0) & (a <= op.cap) & (b >= 0.0) & (b <= op.cap)
+    k = op.kind
+    # min_grid and max_grid differ from eval_op's ternaries only on nan,
+    # and nan arguments are rejected
+    if k == KIND_MIN:
+        out = min_grid(a, b)
+    elif k == KIND_PROD:
+        out = xmul_grid(a, b)
+    elif k == KIND_SMALLEST:
+        e = op.neutral
+        out = np.where(
+            (a < e) & (b < e),
+            0.0,
+            np.where((a >= e) & (b >= e), max_grid(a, b), min_grid(a, b)),
+        )
+    elif k == KIND_GREATEST:
+        e = op.neutral
+        out = np.where(
+            (a == 0.0) | (b == 0.0),
+            0.0,
+            np.where(
+                (a <= e) & (b <= e),
+                min_grid(a, b),
+                np.where((a > e) & (b > e), INF, max_grid(a, b)),
+            ),
+        )
+    elif k == KIND_LUKASIEWICZ:
+        s = a + b - 1.0
+        out = np.where(s > 0.0, s, 0.0)
+    elif k == KIND_DRASTIC:
+        out = np.where(b == 1.0, a, np.where(a == 1.0, b, 0.0))
+    elif k == KIND_MAX:
+        out = max_grid(a, b)
+    elif k == KIND_SUM:
+        out = a + b
+    elif k == KIND_PROBSUM:
+        out = a + b - a * b
+    elif k == KIND_LUK_CONORM:
+        s = a + b
+        out = np.where(s < 1.0, s, 1.0)
+    elif k == KIND_CUSTOM and op.fn is not None:
+        out, bad = _custom_arrays(op, a, b)
+        return out, (bad if bad.any() else None)
+    elif k == KIND_CUSTOM and op.table_nodes:
+        n = len(op.table_nodes)
+        idx = nearest_indices(op.table_nodes, a) * n + nearest_indices(op.table_nodes, b)
+        out = np.asarray(op.table_values, dtype=float)[idx]
+    else:
+        # eval_op rejects every pair
+        ok = np.zeros(np.broadcast(a, b).shape, dtype=bool)
+        out = ok.astype(float)
+    if ok.all():
+        return out, None
+    return np.where(ok, out, math.nan), ~ok
+
+
+class GridEval:
+    """One grid certificate evaluated as arrays, in the order of its loop.
+
+    A grid check visits its nodes in C order and, at each node, makes its
+    evaluations in a fixed sequence before it tests the node.  Here every
+    evaluation covers all nodes at once: :meth:`op` and :meth:`map` return
+    arrays laid out on the node axes and note the elements where the scalar
+    call raises.  :meth:`first` finds the first node that fails or raised
+    and, if it raised, raises the scalar error there.  So an error surfaces
+    only when a loop would reach it before its first failing node.
+    """
+
+    def __init__(self):
+        # (scalar function, its array arguments, mask where it raises)
+        self._steps: list[tuple[Callable, tuple, np.ndarray]] = []
+
+    def op(self, op: BinaryOp, a, b) -> np.ndarray:
+        out, bad = _op_arrays(op, a, b)
+        if bad is not None:
+            self._steps.append((lambda x, y: eval_op(op, x, y), (a, b), bad))
+        return out
+
+    def map(self, fn: Callable[[float], float], x) -> np.ndarray:
+        """fn(v) for each element v of x, called once per distinct value.
+
+        fn gets Python floats, so powers are scalar ``**``, bit for bit.
+        The errors a transform or a power can raise are flagged, not raised.
+        """
+        x = np.asarray(x, dtype=float)
+        vals, inv = np.unique(x, return_inverse=True)
+        vals = vals.tolist()
+        try:
+            out = np.array([fn(v) for v in vals], dtype=float)
+        except (InputError, ArithmeticError):
+            out = np.full(len(vals), math.nan)
+            bad = np.zeros(len(vals), dtype=bool)
+            for i, v in enumerate(vals):
+                try:
+                    out[i] = fn(v)
+                except (InputError, ArithmeticError):
+                    bad[i] = True
+            self._steps.append((fn, (x,), bad[inv].reshape(x.shape)))
+        return out[inv].reshape(x.shape)
+
+    def first(self, fail: np.ndarray) -> tuple[int, ...] | None:
+        """Index of the first node in C order that fails or raised, or None.
+
+        fail is laid out on the full node grid.  When the first such node
+        raised, the scalar call is repeated there to raise its error.
+        """
+        hit = fail
+        for _, _, bad in self._steps:
+            hit = hit | bad
+        if not hit.any():
+            return None
+        idx = np.unravel_index(int(np.argmax(hit)), hit.shape)
+        for fn, args, bad in self._steps:
+            if np.broadcast_to(bad, hit.shape)[idx]:
+                fn(*(float(np.broadcast_to(x, hit.shape)[idx]) for x in args))
+                raise RuntimeError(f"{fn!r} raised on the grid but not on its replay")
+        return tuple(int(i) for i in idx)
+
+
+def eval_grid(op: BinaryOp, a, b) -> np.ndarray:
+    """op over broadcast float arrays, element for element equal to eval_op.
+
+    Raises the error eval_op raises at the first rejected pair in C order.
+    """
+    g = GridEval()
+    out = g.op(op, a, b)
+    g.first(np.zeros(out.shape, dtype=bool))
+    return out
 
 
 # -- factories --------------------------------------------------------------
@@ -259,6 +486,7 @@ def table_op(
 ) -> BinaryOp:
     nodes = tuple(float(t) for t in nodes)
     values = tuple(float(v) for v in values)
+    check_table_nodes(nodes)
     if len(values) != len(nodes) ** 2:
         raise InputError("table must hold len(nodes)**2 values")
     return BinaryOp(
@@ -376,88 +604,112 @@ def _thin(nodes: Sequence[float], limit: int) -> tuple[float, ...]:
 _GRID_SLACK = 1e-12
 
 
-def _differ(x: float, y: float) -> bool:
-    # equality first so inf == inf never reaches the nan-producing subtraction
-    if x == y:
-        return False
-    return not abs(x - y) <= _GRID_SLACK
+def _differ(x, y):
+    # equality first so inf == inf never counts the nan from inf - inf
+    return (x != y) & ~(np.abs(x - y) <= _GRID_SLACK)
 
 
+def _pair_axes(nodes: Sequence[float]):
+    x = np.asarray(nodes, dtype=float)
+    return x[:, None], x[None, :]
+
+
+def _mirrored(x: np.ndarray, y):
+    # node (a, k): k = 0 stands for the pair (a, y), k = 1 for (y, a)
+    y = np.full(x.shape, y, dtype=float)
+    return np.stack([x, y], axis=1), np.stack([y, x], axis=1)
+
+
+@np.errstate(all="ignore")
 def _check_nondecreasing(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
-    for b in nodes:
-        prev = None
-        for a in nodes:
-            cur = eval_op(op, a, b)
-            if prev is not None and cur < prev[1] - _GRID_SLACK:
-                return CheckResult(FLAG_NONDECREASING, False, (prev[0], a, b))
-            prev = (a, cur)
-    for a in nodes:
-        prev = None
-        for b in nodes:
-            cur = eval_op(op, a, b)
-            if prev is not None and cur < prev[1] - _GRID_SLACK:
-                return CheckResult(FLAG_NONDECREASING, False, (a, prev[0], b))
-            prev = (b, cur)
+    col, row = _pair_axes(nodes)
+    g = GridEval()
+    # first sweep: b outer, a inner, so m[i, k] = op(nodes[k], nodes[i])
+    m = g.op(op, row, col)
+    drop = np.zeros(m.shape, dtype=bool)
+    drop[:, 1:] = m[:, 1:] < m[:, :-1] - _GRID_SLACK
+    hit = g.first(drop)
+    if hit is not None:
+        i, k = hit
+        return CheckResult(FLAG_NONDECREASING, False, (nodes[k - 1], nodes[k], nodes[i]))
+    # second sweep: a outer, b inner, over the same values
+    drop = m.T[:, 1:] < m.T[:, :-1] - _GRID_SLACK
+    if drop.any():
+        i, k = np.unravel_index(int(np.argmax(drop)), drop.shape)
+        return CheckResult(FLAG_NONDECREASING, False, (nodes[i], nodes[k], nodes[k + 1]))
     return CheckResult(FLAG_NONDECREASING, True)
 
 
+@np.errstate(all="ignore")
 def _check_annihilator(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
-    for a in nodes:
-        if eval_op(op, a, 0.0) > _GRID_SLACK:
-            return CheckResult(FLAG_ANNIHILATOR, False, (a, 0.0))
-        if eval_op(op, 0.0, a) > _GRID_SLACK:
-            return CheckResult(FLAG_ANNIHILATOR, False, (0.0, a))
-    return CheckResult(FLAG_ANNIHILATOR, True)
+    g = GridEval()
+    x, y = _mirrored(np.asarray(nodes, dtype=float), 0.0)
+    hit = g.first(g.op(op, x, y) > _GRID_SLACK)
+    if hit is None:
+        return CheckResult(FLAG_ANNIHILATOR, True)
+    a = nodes[hit[0]]
+    return CheckResult(FLAG_ANNIHILATOR, False, (a, 0.0) if hit[1] == 0 else (0.0, a))
 
 
+@np.errstate(all="ignore")
 def _check_neutral(op: BinaryOp, e: float, nodes: Sequence[float]) -> CheckResult:
     name = FLAG_NEUTRAL
     if e > op.cap:
         return CheckResult(name, False, (e,), "neutral outside domain")
-    for a in nodes:
-        if _differ(eval_op(op, a, e), a):
-            return CheckResult(name, False, (a, e))
-        if _differ(eval_op(op, e, a), a):
-            return CheckResult(name, False, (e, a))
-    return CheckResult(name, True)
+    g = GridEval()
+    a = np.asarray(nodes, dtype=float)
+    x, y = _mirrored(a, e)
+    hit = g.first(_differ(g.op(op, x, y), a[:, None]))
+    if hit is None:
+        return CheckResult(name, True)
+    a = nodes[hit[0]]
+    return CheckResult(name, False, (a, e) if hit[1] == 0 else (e, a))
 
 
+@np.errstate(all="ignore")
 def _check_bounded_by_min(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
-    for a in nodes:
-        for b in nodes:
-            if eval_op(op, a, b) > min(a, b) + _GRID_SLACK:
-                return CheckResult(FLAG_BOUNDED_BY_MIN, False, (a, b))
-    return CheckResult(FLAG_BOUNDED_BY_MIN, True)
+    a, b = _pair_axes(nodes)
+    g = GridEval()
+    hit = g.first(g.op(op, a, b) > min_grid(a, b) + _GRID_SLACK)
+    if hit is None:
+        return CheckResult(FLAG_BOUNDED_BY_MIN, True)
+    return CheckResult(FLAG_BOUNDED_BY_MIN, False, (nodes[hit[0]], nodes[hit[1]]))
 
 
+@np.errstate(all="ignore")
 def _check_bounded_by_max(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
-    for a in nodes:
-        for b in nodes:
-            if eval_op(op, a, b) < max(a, b) - _GRID_SLACK:
-                return CheckResult(FLAG_BOUNDED_BY_MAX, False, (a, b))
-    return CheckResult(FLAG_BOUNDED_BY_MAX, True)
+    a, b = _pair_axes(nodes)
+    g = GridEval()
+    hit = g.first(g.op(op, a, b) < max_grid(a, b) - _GRID_SLACK)
+    if hit is None:
+        return CheckResult(FLAG_BOUNDED_BY_MAX, True)
+    return CheckResult(FLAG_BOUNDED_BY_MAX, False, (nodes[hit[0]], nodes[hit[1]]))
 
 
+@np.errstate(all="ignore")
 def _check_commutative(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
-    for a in nodes:
-        for b in nodes:
-            if _differ(eval_op(op, a, b), eval_op(op, b, a)):
-                return CheckResult(FLAG_COMMUTATIVE, False, (a, b))
-    return CheckResult(FLAG_COMMUTATIVE, True)
+    a, b = _pair_axes(nodes)
+    g = GridEval()
+    ab = g.op(op, a, b)
+    hit = g.first(_differ(ab, g.op(op, b, a)))
+    if hit is None:
+        return CheckResult(FLAG_COMMUTATIVE, True)
+    return CheckResult(FLAG_COMMUTATIVE, False, (nodes[hit[0]], nodes[hit[1]]))
 
 
+@np.errstate(all="ignore")
 def _check_associative(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
     # triples grow fast; thin to keep the check circa 20k evaluations
     thin = _thin(nodes, 26)
-    for a in thin:
-        for b in thin:
-            ab = eval_op(op, a, b)
-            for c in thin:
-                left = eval_op(op, ab, c)
-                right = eval_op(op, a, eval_op(op, b, c))
-                if _differ(left, right):
-                    return CheckResult(FLAG_ASSOCIATIVE, False, (a, b, c))
-    return CheckResult(FLAG_ASSOCIATIVE, True, detail=f"thinned to {len(thin)} nodes")
+    x = np.asarray(thin, dtype=float)
+    a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
+    g = GridEval()
+    left = g.op(op, g.op(op, a, b), c)
+    right = g.op(op, a, g.op(op, b, c))
+    hit = g.first(_differ(left, right))
+    if hit is None:
+        return CheckResult(FLAG_ASSOCIATIVE, True, detail=f"thinned to {len(thin)} nodes")
+    return CheckResult(FLAG_ASSOCIATIVE, False, tuple(thin[i] for i in hit))
 
 
 def verify_op_properties(
@@ -503,24 +755,26 @@ def check_domination(
 ) -> PropertyReport:
     """Grid check of A(B(a,b), B(c,d)) >= B(A(a,c), A(b,d)).
 
-    The quadruple loop forces a coarse grid; 21 nodes is the default and
-    the report records what was used.
+    The grid has four axes, which forces a coarse one; 21 nodes is the
+    default and the report records what was used.
     """
     if grid is None:
         cap = min(dominant.cap, dominated.cap)
         grid = GridSpec(cap=cap, n=21, hi=1.0 if cap == 1.0 else 2.0)
     nodes = _thin(grid.nodes(), 21)
-    for a in nodes:
-        for b in nodes:
-            for c in nodes:
-                for d in nodes:
-                    left = eval_op(dominant, eval_op(dominated, a, b), eval_op(dominated, c, d))
-                    right = eval_op(dominated, eval_op(dominant, a, c), eval_op(dominant, b, d))
-                    if left < right - 1e-12:
-                        return PropertyReport(
-                            checks=(CheckResult("domination", False, (a, b, c, d)),),
-                            grid=grid.describe(),
-                        )
+    x = np.asarray(nodes, dtype=float)
+    a, b = x[:, None, None, None], x[None, :, None, None]
+    c, d = x[None, None, :, None], x[None, None, None, :]
+    g = GridEval()
+    with np.errstate(all="ignore"):
+        left = g.op(dominant, g.op(dominated, a, b), g.op(dominated, c, d))
+        right = g.op(dominated, g.op(dominant, a, c), g.op(dominant, b, d))
+        hit = g.first(left < right - 1e-12)
+    if hit is not None:
+        return PropertyReport(
+            checks=(CheckResult("domination", False, tuple(nodes[i] for i in hit)),),
+            grid=grid.describe(),
+        )
     return PropertyReport(checks=(CheckResult("domination", True),), grid=grid.describe())
 
 
