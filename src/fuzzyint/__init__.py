@@ -48,7 +48,6 @@ from .functions import (
     compose,
     eval_at,
     identity,
-    invert_transform,
     is_comonotone,
     is_countermonotone,
     make_comonotone_system,
@@ -62,7 +61,6 @@ from .measures import (
     SurvivalProfile,
     counting_measure,
     essinf,
-    measure_of,
     survival,
     validate_measure,
 )
@@ -88,9 +86,6 @@ from .inequalities import (
     h_table,
     h_wmean,
     verify,
-    verify_nary_H,
-    verify_single_function,
-    verify_two_function,
 )
 from .serialize import (
     digest,

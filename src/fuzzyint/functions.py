@@ -190,10 +190,6 @@ def apply_transform(t: MonotoneTransform, f):
     raise InputError(f"cannot transform {type(f).__name__}")
 
 
-def invert_transform(t: MonotoneTransform, y: float) -> float:
-    return t.invert(y)
-
-
 # ---------------------------------------------------------------------------
 # function carriers
 # ---------------------------------------------------------------------------
@@ -419,6 +415,26 @@ def _comonotone_vectors(fv: Sequence[float], gv: Sequence[float]):
     return True, None
 
 
+def _paired_values(f, g, samples: int, what: str):
+    """Value vectors of f and g, and the sample points on the interval."""
+    if isinstance(f, FiniteFunction) and isinstance(g, FiniteFunction):
+        if f.n != g.n:
+            raise InputError("carrier size mismatch")
+        return f.values, g.values, None
+    if is_continuous(f) and is_continuous(g):
+        xs = [i / (samples - 1) for i in range(samples)]
+        return [eval_at(f, x) for x in xs], [eval_at(g, x) for x in xs], xs
+    raise InputError(f"{what} needs two functions on one carrier")
+
+
+def _at_points(result, xs):
+    """A (ok, index pair) result with the pair mapped to sample points."""
+    ok, w = result
+    if ok or xs is None:
+        return result
+    return False, (xs[w[0]], xs[w[1]])
+
+
 def is_comonotone(f, g, samples: int = 257):
     """Check (f(x)-f(y))(g(x)-g(y)) >= 0 for all pairs.
 
@@ -427,51 +443,19 @@ def is_comonotone(f, g, samples: int = 257):
     (f, g) and tracks the running best g, so it is O(n log n) while
     agreeing with the quadratic definition.
     """
-    if isinstance(f, FiniteFunction) and isinstance(g, FiniteFunction):
-        if f.n != g.n:
-            raise InputError("carrier size mismatch")
-        return _comonotone_vectors(f.values, g.values)
-    if is_continuous(f) and is_continuous(g):
-        xs = [i / (samples - 1) for i in range(samples)]
-        fv = [eval_at(f, x) for x in xs]
-        gv = [eval_at(g, x) for x in xs]
-        ok, w = _comonotone_vectors(fv, gv)
-        if ok:
-            return True, None
-        return False, (xs[w[0]], xs[w[1]])
-    raise InputError("comonotonicity needs two functions on one carrier")
+    fv, gv, xs = _paired_values(f, g, samples, "comonotonicity")
+    return _at_points(_comonotone_vectors(fv, gv), xs)
 
 
 def is_countermonotone(f, g, samples: int = 257):
-    """Check (f(x)-f(y))(g(x)-g(y)) <= 0 for all pairs, with witness."""
-    if isinstance(f, FiniteFunction) and isinstance(g, FiniteFunction):
-        if f.n != g.n:
-            raise InputError("carrier size mismatch")
-        fv, gv = f.values, g.values
-    elif is_continuous(f) and is_continuous(g):
-        xs = [i / (samples - 1) for i in range(samples)]
-        fv = [eval_at(f, x) for x in xs]
-        gv = [eval_at(g, x) for x in xs]
-    else:
-        raise InputError("countermonotonicity needs two functions on one carrier")
-    # mirror of the comonotone walk: track the smallest g over strictly
-    # earlier f groups; any later strictly larger g is a witness
-    order = sorted(range(len(fv)), key=lambda i: (fv[i], -gv[i]))
-    best_idx = -1
-    best_g = INF
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and fv[order[j]] == fv[order[i]]:
-            j += 1
-        for idx in order[i:j]:
-            if best_idx >= 0 and gv[idx] > best_g:
-                return False, (best_idx, idx)
-        for idx in order[i:j]:
-            if gv[idx] < best_g:
-                best_idx, best_g = idx, gv[idx]
-        i = j
-    return True, None
+    """Check (f(x)-f(y))(g(x)-g(y)) <= 0 for all pairs, with witness.
+
+    f and g are countermonotone exactly when f and -g are comonotone, so
+    this is the comonotone check on negated g values; witnesses are as in
+    :func:`is_comonotone`.
+    """
+    fv, gv, xs = _paired_values(f, g, samples, "countermonotonicity")
+    return _at_points(_comonotone_vectors(fv, [-v for v in gv]), xs)
 
 
 def make_comonotone_system(seed, n: int, k: int, scale: str = "unit"):

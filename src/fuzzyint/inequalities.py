@@ -2,7 +2,11 @@
 
 Each family compares one integral expression against another built from
 the same data (two-function products, single-function transforms, n-ary
-aggregations and their order-reversed counterparts).  A verdict records
+aggregations and their order-reversed counterparts).  The two-function
+families are the n-ary ones at arity 2 with H = ⋆: their ids run through
+the same evaluator and the same scalar condition, with H the pointwise
+operation (kind ``binary``) and the family's exponents as the vectors
+(xi0, xi1, xi2), (omega0, omega1, omega2).  A verdict records
 both sides, the signed margin, whether the inequality holds at the
 instance tolerance, and a hypothesis report: every precondition of the
 family is grid-checked and the verdict is flagged when any fails, but
@@ -15,10 +19,12 @@ cached per parameter set, since campaigns reuse them heavily.  Each grid
 is evaluated as arrays, one broadcast per step of the condition, through
 :class:`~fuzzyint.ops.GridEval`: the witness is the first failing node in
 the order of a loop over the grid, and an out-of-domain evaluation raises
-only where that loop would have reached it.  Powers and transforms on a
-grid are the scalar functions applied to each distinct value, so they
-are bit for bit the ones the verdicts use.  The threshold optimiser and
-the verdicts themselves keep the scalar ``eval_op``.
+only where that loop would have reached it.  Every condition clamps the
+arguments of an op, ⋆ included, to that op's cap before evaluating it.
+Powers and transforms on a grid are the scalar functions applied to each
+distinct value, so they are bit for bit the ones the verdicts use.  The
+threshold optimiser and the verdicts themselves keep the scalar
+``eval_op``.
 """
 
 from __future__ import annotations
@@ -117,8 +123,11 @@ _SCALAR_SLACK = 1e-12
 class NaryOp:
     """Aggregation H of n nonnegative arguments.
 
-    Kinds: componentwise min, product, weighted arithmetic mean, or an
-    explicit table over a small grid with nearest-node lookup.
+    Kinds: componentwise min, max, product, weighted arithmetic mean, an
+    explicit table over a small grid with nearest-node lookup, or
+    ``binary``: the pointwise operation op of two arguments, each clamped
+    to op.cap.  The binary kind carries the two-function families through
+    the n-ary core; it is internal and has no JSON form.
     """
 
     kind: str
@@ -126,12 +135,15 @@ class NaryOp:
     weights: tuple[float, ...] = ()
     nodes: tuple[float, ...] = ()
     values: tuple[float, ...] = ()
+    op: BinaryOp | None = None
 
     def __post_init__(self):
-        if self.kind not in ("min", "max", "prod", "wmean", "table"):
+        if self.kind not in ("min", "max", "prod", "wmean", "table", "binary"):
             raise InputError(f"unknown aggregation kind {self.kind!r}")
         if self.arity < 1:
             raise InputError("aggregation needs arity >= 1")
+        if self.kind == "binary" and (self.arity != 2 or self.op is None):
+            raise InputError("binary aggregation needs arity 2 and an operation")
         if self.kind == "wmean":
             if len(self.weights) != self.arity:
                 raise InputError("weighted mean needs one weight per argument")
@@ -145,6 +157,9 @@ class NaryOp:
     def __call__(self, args: Sequence[float]) -> float:
         if len(args) != self.arity:
             raise InputError(f"aggregation expects {self.arity} arguments")
+        if self.kind == "binary":
+            cap = self.op.cap
+            return eval_op(self.op, min(args[0], cap), min(args[1], cap))
         if self.kind == "min":
             return min(args)
         if self.kind == "max":
@@ -162,8 +177,15 @@ class NaryOp:
             idx = idx * len(self.nodes) + nearest_index(self.nodes, a)
         return self.values[idx]
 
-    def eval_grid(self, args: Sequence[np.ndarray]) -> np.ndarray:
-        """H over broadcast arrays, element for element equal to __call__."""
+    def eval_grid(self, g: GridEval, args: Sequence[np.ndarray]) -> np.ndarray:
+        """H over broadcast arrays, element for element equal to __call__.
+
+        The binary kind evaluates its op through g, so its errors are
+        replayed in the order of the grid's loop.
+        """
+        if self.kind == "binary":
+            cap = self.op.cap
+            return g.op(self.op, min_grid(args[0], cap), min_grid(args[1], cap))
         if self.kind in ("min", "max"):
             pick = min_grid if self.kind == "min" else max_grid
             out = args[0]
@@ -363,39 +385,30 @@ class InequalityVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _two_function_exponents(inst: TheoremInstance):
-    """(xi0, xi1, xi2), (om0, om1, om2) for the product-form families."""
-    tid = inst.theorem_id
+def _two_function_exponents(tid: str, ex: Mapping):
+    """(xi0, xi1, xi2), (om0, om1, om2) of a two-function family.
+
+    ex maps exponent names to values; a missing name reads as 1.
+    """
     if tid in ("chebyshev", "rev_chebyshev"):
         return (1.0, 1.0, 1.0), (1.0, 1.0, 1.0)
     if tid in ("holder", "rev_holder"):
-        p = inst.exponent("p")
-        q = inst.exponent("q")
+        p = ex.get("p", 1.0)
+        q = ex.get("q", 1.0)
         if not (p >= 1.0 and q >= 1.0):
             raise InputError("conjugate exponents need p, q >= 1")
         return (1.0, p, q), (1.0, 1.0 / p, 1.0 / q)
-    if tid == "minkowski":
-        s = inst.exponent("s")
+    if tid in ("minkowski", "rev_minkowski"):
+        s = ex.get("s" if tid == "minkowski" else "k", 1.0)
         if not s > 0.0:
             raise InputError("root-mean exponent must be positive")
         return (s, s, s), (1.0 / s, 1.0 / s, 1.0 / s)
-    if tid == "rev_minkowski":
-        k = inst.exponent("k")
-        if not k > 0.0:
-            raise InputError("root-mean exponent must be positive")
-        return (k, k, k), (1.0 / k, 1.0 / k, 1.0 / k)
     if tid == "star_general":
-        xi = tuple(inst.exponent(f"xi{i}") for i in range(3))
-        om = tuple(inst.exponent(f"omega{i}") for i in range(3))
-    elif tid in ("seminormed_general", "rev_seminormed"):
-        xi = (inst.exponent("alpha"), inst.exponent("beta"), inst.exponent("gamma"))
-        om = (
-            inst.exponent("lambda", inst.exponent("lam")),
-            inst.exponent("upsilon"),
-            inst.exponent("tau"),
-        )
-    else:
-        raise InputError(f"{tid} is not a two-function family")
+        xi = tuple(ex.get(f"xi{i}", 1.0) for i in range(3))
+        om = tuple(ex.get(f"omega{i}", 1.0) for i in range(3))
+    else:  # seminormed_general, rev_seminormed
+        xi = (ex.get("alpha", 1.0), ex.get("beta", 1.0), ex.get("gamma", 1.0))
+        om = (ex.get("lambda", ex.get("lam", 1.0)), ex.get("upsilon", 1.0), ex.get("tau", 1.0))
     for v in xi + om:
         if not v > 0.0:
             raise InputError("exponents must be positive")
@@ -469,40 +482,6 @@ def _pow_grid(g: GridEval, x, e: float):
 
 
 @np.errstate(all="ignore")
-def _two_function_condition(
-    op: BinaryOp, star: BinaryOp, xi, om, reverse: bool, dnodes, cnodes
-) -> CheckResult:
-    xi0, xi1, xi2 = xi
-    om0, om1, om2 = om
-    # node (a, b, c), visited in C order
-    a, b, c = _axis(dnodes, 0, 3), _axis(dnodes, 1, 3), _axis(cnodes, 2, 3)
-    g = GridEval()
-    # clamp intermediates so mixed-cap pairings stay inside each domain
-    scap = star.cap
-    sab = g.op(star, min_grid(a, scap), min_grid(b, scap))
-    lhs = _pow_grid(g, g.op(op, min_grid(_pow_grid(g, sab, xi0), op.cap), c), om0)
-    r1 = g.op(
-        star,
-        min_grid(_pow_grid(g, g.op(op, _pow_grid(g, a, xi1), c), om1), scap),
-        min_grid(b, scap),
-    )
-    r2 = g.op(
-        star,
-        min_grid(a, scap),
-        min_grid(_pow_grid(g, g.op(op, _pow_grid(g, b, xi2), c), om2), scap),
-    )
-    if reverse:
-        fail = lhs > min_grid(r1, r2) + _SCALAR_SLACK
-    else:
-        fail = lhs < max_grid(r1, r2) - _SCALAR_SLACK
-    hit = g.first(fail)
-    if hit is None:
-        return CheckResult("scalar_condition", True)
-    i, j, k = hit
-    return CheckResult("scalar_condition", False, (dnodes[i], dnodes[j], cnodes[k]))
-
-
-@np.errstate(all="ignore")
 def _single_condition(tid: str, op: BinaryOp, phi, exps, dnodes, cnodes) -> CheckResult:
     if tid not in ("jensen", "rev_jensen", "thm33", "rev_transform", "lyapunov"):
         raise InputError(f"no scalar condition for {tid}")
@@ -551,7 +530,7 @@ def _nary_condition(
         return g.op(op, min_grid(x, op.cap), c)
 
     base = [g.map(psi[i].apply, args[i]) for i in range(n)] if transformed else args
-    hval = H.eval_grid(base)
+    hval = H.eval_grid(g, base)
     if transformed:
         lhs = g.map(partial(_pinv, u[0]), ev(g.map(u[0].apply, hval)))
     else:
@@ -563,7 +542,7 @@ def _nary_condition(
             repl = g.map(psi[i].apply, inner)
         else:
             repl = _pow_grid(g, ev(_pow_grid(g, args[i], xi[i + 1])), om[i + 1])
-        side = H.eval_grid(base[:i] + [repl] + base[i + 1 :])
+        side = H.eval_grid(g, base[:i] + [repl] + base[i + 1 :])
         if best is None:
             best = side
         else:
@@ -595,12 +574,14 @@ def check_scalar_condition(
 ) -> PropertyReport:
     """Grid check of the per-threshold condition of one family.
 
-    condition ids coincide with the theorem catalog; the two-function
-    transformed condition is the n-ary one with arity 2.  The grid spans
-    [0, hi_data] for function values and [0, hi_measure] for measure
-    values, defaulting to the op domain (capped at 2 when unbounded).
-    grid_n, when given, is the node count per axis and must be at least 2.
-    Slack 1e-12 absorbs float noise from powers.
+    condition ids coincide with the theorem catalog.  A two-function
+    condition is the n-ary one at arity 2 with H = star (kind ``binary``)
+    and the family's exponent vectors.  Every op argument, star's
+    included, is clamped to that op's cap before evaluation.  The grid
+    spans [0, hi_data] for function values and [0, hi_measure] for
+    measure values, defaulting to the op domain (capped at 2 when
+    unbounded).  grid_n, when given, is the node count per axis and must
+    be at least 2.  Slack 1e-12 absorbs float noise from powers.
     """
     if grid_n is not None and grid_n < 2:
         raise InputError("grid needs at least 2 nodes")
@@ -609,17 +590,7 @@ def check_scalar_condition(
         hi_data = 1.0 if cap == 1.0 else 2.0
     if hi_measure is None:
         hi_measure = 1.0 if op.cap == 1.0 else 2.0
-    if condition_id in TWO_FUNCTION_IDS:
-        if star is None:
-            raise InputError("two-function condition needs a pointwise operation")
-        inst_like = _CondProxy(condition_id, exponents)
-        xi, om = _two_function_exponents(inst_like)
-        n = 13 if grid_n is None else grid_n
-        dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
-        check = _two_function_condition(
-            op, star, xi, om, condition_id in REVERSE_IDS, dnodes, cnodes
-        )
-    elif condition_id in SINGLE_FUNCTION_IDS:
+    if condition_id in SINGLE_FUNCTION_IDS:
         n = 21 if grid_n is None else grid_n
         dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
         exps = None
@@ -627,17 +598,22 @@ def check_scalar_condition(
             ex = dict(_freeze_exponents(exponents))
             exps = (ex.get("r", 1.0), ex.get("s", 1.0))
         check = _single_condition(condition_id, op, tuple(phi), exps, dnodes, cnodes)
-    elif condition_id in NARY_IDS:
-        if H is None:
-            raise InputError("n-ary condition needs an aggregation")
-        per_axis = max(5, int(round(30000 ** (1.0 / (H.arity + 1)))))
-        n = min(per_axis, 13) if grid_n is None else grid_n
-        dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
+    elif condition_id in TWO_FUNCTION_IDS or condition_id in NARY_IDS:
         xi = om = ()
-        if condition_id in ("thm32", "thm42_h"):
+        if condition_id in TWO_FUNCTION_IDS:
+            if star is None:
+                raise InputError("two-function condition needs a pointwise operation")
+            H = NaryOp("binary", op=star)
+            xi, om = _two_function_exponents(condition_id, dict(_freeze_exponents(exponents)))
+        elif H is None:
+            raise InputError("n-ary condition needs an aggregation")
+        elif condition_id in ("thm32", "thm42_h"):
             ex = dict(_freeze_exponents(exponents))
             xi = ex.get("xi", tuple(1.0 for _ in range(H.arity + 1)))
             om = ex.get("omega", tuple(1.0 for _ in range(H.arity + 1)))
+        per_axis = max(5, int(round(30000 ** (1.0 / (H.arity + 1)))))
+        n = min(per_axis, 13) if grid_n is None else grid_n
+        dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
         check = _nary_condition(
             condition_id,
             op,
@@ -654,16 +630,6 @@ def check_scalar_condition(
         raise InputError(f"unknown condition id {condition_id!r}")
     meta = {"nodes": len(dnodes), "hi_data": hi_data, "hi_measure": hi_measure, "slack": _SCALAR_SLACK}
     return PropertyReport((check,), meta)
-
-
-class _CondProxy:
-    """Adapter so exponent extraction works from bare parameter sets."""
-
-    def __init__(self, theorem_id: str, exponents):
-        self.theorem_id = theorem_id
-        self.exponents = _freeze_exponents(exponents)
-
-    exponent = TheoremInstance.exponent
 
 
 def _cached(key, thunk):
@@ -695,6 +661,11 @@ def _integral(inst: TheoremInstance, f, exponent: float = 1.0) -> IntegralResult
 
 
 def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
+    # imported per call so a wrapper installed on the module is seen
+    from .functions import pointwise_combine
+
+    if H.kind == "binary":
+        return pointwise_combine(H.op, *funcs)
     if all(isinstance(f, FiniteFunction) for f in funcs):
         n = funcs[0].n
         if any(f.n != n for f in funcs):
@@ -703,8 +674,6 @@ def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
         return FiniteFunction(rows)
     if not all(is_continuous(f) for f in funcs):
         raise InputError("cannot mix carriers in an aggregation")
-    from .functions import pointwise_combine
-
     if H.kind in ("min", "max", "prod"):
         star = {"min": _PMIN, "max": _PMAX, "prod": _PPROD}[H.kind]
         out = funcs[0]
@@ -805,10 +774,6 @@ def _data_max(funcs: Sequence) -> float:
 # ---------------------------------------------------------------------------
 # family evaluators
 # ---------------------------------------------------------------------------
-
-
-def _star_eval(star: BinaryOp, x: float, y: float) -> float:
-    return eval_op(star, min(x, star.cap), min(y, star.cap))
 
 
 def _lattice_tol(inst: TheoremInstance, results: Sequence[IntegralResult]) -> float:
@@ -921,41 +886,6 @@ def _scalar_check(inst: TheoremInstance) -> CheckResult:
     return _cached(key, run)
 
 
-def _verify_two(inst: TheoremInstance, tol, skip_hypotheses: bool) -> InequalityVerdict:
-    if len(inst.functions) != 2:
-        raise InputError("two-function families need exactly two functions")
-    if inst.star is None:
-        raise InputError("two-function families need a pointwise operation")
-    xi, om = _two_function_exponents(inst)
-    f, g = inst.functions
-    from .functions import pointwise_combine
-
-    combined = pointwise_combine(inst.star, f, g)
-    r_lhs = _integral(inst, combined, xi[0])
-    r_f = _integral(inst, f, xi[1])
-    r_g = _integral(inst, g, xi[2])
-    lhs = _pow(r_lhs.value, om[0])
-    rhs = _star_eval(inst.star, _pow(r_f.value, om[1]), _pow(r_g.value, om[2]))
-    results = (r_lhs, r_f, r_g)
-
-    checks: list[CheckResult] = []
-    if not skip_hypotheses:
-        checks.append(_summary_check("op_properties", _op_report(inst.op)))
-        checks.append(_summary_check("star_properties", _op_report(inst.star)))
-        checks.append(_comonotone_check(inst.functions))
-        checks.extend(_measure_checks(inst))
-        prods = (xi[1] * om[1], xi[2] * om[2])
-        if inst.theorem_id == "star_general":
-            checks.append(_exponent_range_check(prods, _data_max(inst.functions), want_ge=True))
-        elif inst.theorem_id == "seminormed_general":
-            checks.append(_exponent_range_check(prods, 1.0, want_ge=True))
-        elif inst.theorem_id == "rev_seminormed":
-            checks.append(_exponent_range_check(prods, 1.0, want_ge=False))
-        checks.append(_scalar_check(inst))
-        checks.append(_finiteness_check(results))
-    return _mk_verdict(inst, lhs, rhs, checks, results, tol)
-
-
 def _verify_single(inst: TheoremInstance, tol, skip_hypotheses: bool) -> InequalityVerdict:
     if len(inst.functions) != 1:
         raise InputError("single-function families need exactly one function")
@@ -1005,13 +935,33 @@ def _verify_single(inst: TheoremInstance, tol, skip_hypotheses: bool) -> Inequal
     return _mk_verdict(inst, lhs, rhs, checks, results, tol)
 
 
+# exponent range hypothesis: theorem id -> (data range, x**(1/(xi*om)) >= x);
+# a data range of None is the largest value of the functions
+_EXPONENT_RANGE = {
+    "star_general": (None, True),
+    "seminormed_general": (1.0, True),
+    "rev_seminormed": (1.0, False),
+    "thm32": (None, True),
+    "thm42_h": (None, False),
+}
+
+
 def _verify_nary(inst: TheoremInstance, tol, skip_hypotheses: bool) -> InequalityVerdict:
-    if inst.H is None:
-        raise InputError("n-ary families need an aggregation")
-    n = len(inst.functions)
-    if inst.H.arity != n:
-        raise InputError("aggregation arity must match the function count")
+    """Two-function and n-ary families; the former with H = star."""
     tid = inst.theorem_id
+    n = len(inst.functions)
+    if tid in TWO_FUNCTION_IDS:
+        if n != 2:
+            raise InputError("two-function families need exactly two functions")
+        if inst.star is None:
+            raise InputError("two-function families need a pointwise operation")
+        H = NaryOp("binary", op=inst.star)
+    else:
+        H = inst.H
+        if H is None:
+            raise InputError("n-ary families need an aggregation")
+        if H.arity != n:
+            raise InputError("aggregation arity must match the function count")
 
     if tid in ("thm31", "thm41"):
         if len(inst.u) != n + 1 or len(inst.psi) != n:
@@ -1019,7 +969,7 @@ def _verify_nary(inst: TheoremInstance, tol, skip_hypotheses: bool) -> Inequalit
         inners = tuple(
             apply_transform(inst.psi[i], inst.functions[i]) for i in range(n)
         )
-        combined = _combine_nary(inst.H, inners)
+        combined = _combine_nary(H, inners)
         r_lhs = _integral(inst, apply_transform(inst.u[0], combined))
         lhs = _pinv(inst.u[0], r_lhs.value)
         parts = []
@@ -1028,10 +978,13 @@ def _verify_nary(inst: TheoremInstance, tol, skip_hypotheses: bool) -> Inequalit
             r_i = _integral(inst, apply_transform(inst.u[i + 1], inst.functions[i]))
             results.append(r_i)
             parts.append(inst.psi[i].apply(_pinv(inst.u[i + 1], r_i.value)))
-        rhs = inst.H(tuple(parts))
+        rhs = H(tuple(parts))
     else:
-        xi, om = _nary_exponents(inst, n)
-        combined = _combine_nary(inst.H, inst.functions)
+        if tid in TWO_FUNCTION_IDS:
+            xi, om = _two_function_exponents(tid, dict(inst.exponents))
+        else:
+            xi, om = _nary_exponents(inst, n)
+        combined = _combine_nary(H, inst.functions)
         r_lhs = _integral(inst, combined, xi[0])
         lhs = _pow(r_lhs.value, om[0])
         parts = []
@@ -1040,23 +993,26 @@ def _verify_nary(inst: TheoremInstance, tol, skip_hypotheses: bool) -> Inequalit
             r_i = _integral(inst, inst.functions[i], xi[i + 1])
             results.append(r_i)
             parts.append(_pow(r_i.value, om[i + 1]))
-        rhs = inst.H(tuple(parts))
+        rhs = H(tuple(parts))
 
     checks: list[CheckResult] = []
     if not skip_hypotheses:
         checks.append(_summary_check("op_properties", _op_report(inst.op)))
-        fin_nodes = _range_nodes(_snap_up(_data_max(inst.functions)), 9)
-        checks.append(
-            _cached(("Hmono", inst.H, fin_nodes), lambda: _check_H_nondecreasing(inst.H, fin_nodes))
-        )
+        if H.kind == "binary":
+            checks.append(_summary_check("star_properties", _op_report(H.op)))
+        else:
+            fin_nodes = _range_nodes(_snap_up(_data_max(inst.functions)), 9)
+            checks.append(
+                _cached(("Hmono", H, fin_nodes), lambda: _check_H_nondecreasing(H, fin_nodes))
+            )
         checks.append(_comonotone_check(inst.functions))
         checks.extend(_measure_checks(inst))
-        if tid in ("thm32", "thm42_h"):
-            xi, om = _nary_exponents(inst, n)
+        if tid in _EXPONENT_RANGE:
+            dmax, want_ge = _EXPONENT_RANGE[tid]
+            if dmax is None:
+                dmax = _data_max(inst.functions)
             prods = tuple(xi[i + 1] * om[i + 1] for i in range(n))
-            checks.append(
-                _exponent_range_check(prods, _data_max(inst.functions), want_ge=(tid == "thm32"))
-            )
+            checks.append(_exponent_range_check(prods, dmax, want_ge))
         checks.append(_scalar_check(inst))
         checks.append(_finiteness_check(results))
     return _mk_verdict(inst, lhs, rhs, checks, tuple(results), tol)
@@ -1076,28 +1032,6 @@ def verify(
     instances, otherwise 1e-9 plus the refinement tolerances of the
     integrals involved.
     """
-    if inst.theorem_id in TWO_FUNCTION_IDS:
-        return _verify_two(inst, tol, skip_hypotheses)
     if inst.theorem_id in SINGLE_FUNCTION_IDS:
         return _verify_single(inst, tol, skip_hypotheses)
     return _verify_nary(inst, tol, skip_hypotheses)
-
-
-def verify_two_function(inst: TheoremInstance, tol: float | None = None, **kw) -> InequalityVerdict:
-    if inst.theorem_id not in TWO_FUNCTION_IDS:
-        raise InputError(f"{inst.theorem_id} is not a two-function family")
-    return _verify_two(inst, tol, kw.get("skip_hypotheses", False))
-
-
-def verify_single_function(
-    inst: TheoremInstance, tol: float | None = None, **kw
-) -> InequalityVerdict:
-    if inst.theorem_id not in SINGLE_FUNCTION_IDS:
-        raise InputError(f"{inst.theorem_id} is not a single-function family")
-    return _verify_single(inst, tol, kw.get("skip_hypotheses", False))
-
-
-def verify_nary_H(inst: TheoremInstance, tol: float | None = None, **kw) -> InequalityVerdict:
-    if inst.theorem_id not in NARY_IDS:
-        raise InputError(f"{inst.theorem_id} is not an n-ary family")
-    return _verify_nary(inst, tol, kw.get("skip_hypotheses", False))

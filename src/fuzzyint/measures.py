@@ -9,8 +9,7 @@ The survival profile of a pair (m, f) packages the two level functions
 
     weak(t)   = m({f >= t})        strict(t) = m({f > t})
 
-together with the candidate thresholds where they can jump and, on the
-continuous carrier, the refinement segments between candidates.  Both
+together with the candidate thresholds where they can jump.  Both
 level functions are evaluated exactly: finite carriers by bitmask lookup,
 the continuous family by closed-form level-set lengths.
 """
@@ -73,10 +72,6 @@ class FiniteMonotoneMeasure:
         if not (0 <= subset < (1 << self.n)):
             raise InputError(f"subset mask {subset} out of range")
         return self.table[subset]
-
-
-def measure_of(m: FiniteMonotoneMeasure, subset: int) -> float:
-    return m.value(subset)
 
 
 def counting_measure(n: int, normalized: bool = False) -> FiniteMonotoneMeasure:
@@ -148,13 +143,6 @@ def validate_measure(m: Measure, grid: int = 101) -> PropertyReport:
 # ---------------------------------------------------------------------------
 
 
-def _mk_segments(candidates, t_max: float) -> tuple[tuple[float, float], ...]:
-    marks = sorted({0.0, t_max} | {c for c in candidates if 0.0 <= c <= t_max})
-    return tuple(
-        (marks[i - 1], marks[i]) for i in range(1, len(marks)) if marks[i] > marks[i - 1]
-    )
-
-
 @dataclass
 class SurvivalProfile:
     """Level functions of one (measure, function) pair.
@@ -163,7 +151,7 @@ class SurvivalProfile:
     are the thresholds where the profile can jump (finite carriers: the
     distinct values of f).  exact means the sup/inf of any nondecreasing
     pairing is attained on the candidates, so no refinement is needed;
-    otherwise segments list the spans to search between candidates.
+    otherwise the spans between candidates must be searched too.
     """
 
     weak: Callable[[float], float]
@@ -172,7 +160,6 @@ class SurvivalProfile:
     t_max: float
     total: float
     exact: bool
-    segments: tuple[tuple[float, float], ...] = ()
     # sup{t : {f >= t} is the whole carrier}; the minimum of f.  Exact by
     # construction, which matters because the level measure can round to
     # the total long before the level set is actually full.
@@ -215,7 +202,6 @@ class SurvivalProfile:
             t_max=new_t_max,
             total=self.total,
             exact=self.exact,
-            segments=_mk_segments(new_cands, new_t_max),
             full_sup=None if self.full_sup is None else transform.apply(self.full_sup),
         )
 
@@ -315,9 +301,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
             return g(length(t))
 
         cands = (0.0, coef)
-        return SurvivalProfile(
-            weak, strict, cands, coef, total, False, _mk_segments(cands, coef), full_sup=0.0
-        )
+        return SurvivalProfile(weak, strict, cands, coef, total, False, full_sup=0.0)
 
     if isinstance(f, PwlFunction):
 
@@ -329,9 +313,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
 
         t_max = f.max_value()
         cands = tuple(sorted(set(f.ys)))
-        return SurvivalProfile(
-            weak, strict, cands, t_max, total, False, _mk_segments(cands, t_max), full_sup=min(f.ys)
-        )
+        return SurvivalProfile(weak, strict, cands, t_max, total, False, full_sup=min(f.ys))
 
     if isinstance(f, CappedFunction):
         base = _profile_of(m, f.base)
@@ -353,7 +335,6 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
             t_max,
             total,
             base.exact,
-            _mk_segments(cands, t_max),
             full_sup=None if base.full_sup is None else min(base.full_sup, c),
         )
 
@@ -376,7 +357,6 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
             t_max,
             total,
             base.exact,
-            _mk_segments(cands, t_max),
             full_sup=None if base.full_sup is None else max(base.full_sup, c),
         )
 
@@ -401,9 +381,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
         cands = tuple(sorted(cands))
         sups = [p.full_sup for p in parts]
         full_sup = None if any(s is None for s in sups) else pick(sups)
-        return SurvivalProfile(
-            weak, strict, cands, t_max, total, False, _mk_segments(cands, t_max), full_sup=full_sup
-        )
+        return SurvivalProfile(weak, strict, cands, t_max, total, False, full_sup=full_sup)
 
     raise InputError(f"no level-set rule for {type(f).__name__}")
 

@@ -289,6 +289,8 @@ def function_from_json(d: dict):
 
 
 def nary_to_json(H: NaryOp) -> dict:
+    if H.kind == "binary":
+        raise InputError("binary aggregations are internal and have no JSON form")
     d = {"kind": H.kind, "arity": H.arity}
     if H.kind == "wmean":
         d["weights"] = [float(w) for w in H.weights]

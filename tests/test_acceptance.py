@@ -33,7 +33,6 @@ from fuzzyint import (
     is_comonotone,
     make_comonotone_system,
     max_op,
-    measure_of,
     min_op,
     power,
     probsum_op,
@@ -157,7 +156,7 @@ def test_04_integral_axioms_on_random_instances():
         mask = int(rng.integers(1, 1 << n))
         c = float(rng.uniform(0.05, 1.0))
         step = FiniteFunction(tuple(c if (mask >> i) & 1 else 0.0 for i in range(n)))
-        assert float(universal_integral(op, m, step)) == eval_op(op, c, measure_of(m, mask))
+        assert float(universal_integral(op, m, step)) == eval_op(op, c, m.value(mask))
 
         # relabeling invariance, exactly
         perm = rng.permutation(n)

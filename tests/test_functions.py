@@ -24,7 +24,6 @@ from fuzzyint import (
     compose,
     eval_at,
     identity,
-    invert_transform,
     is_comonotone,
     is_countermonotone,
     make_comonotone_system,
@@ -50,7 +49,7 @@ def test_transform_apply_and_invert_round_trip():
     for t in ts:
         for x in (0.0, 0.2, 0.7, 1.0):
             y = t.apply(x)
-            assert invert_transform(t, y) == pytest.approx(x, abs=1e-12)
+            assert t.invert(y) == pytest.approx(x, abs=1e-12)
 
 
 def test_transform_rejects_non_increasing_parameters():
@@ -179,6 +178,43 @@ def test_countermonotone_flips_order():
     ok, _ = is_countermonotone(f, f)
     # constant-free strictly increasing pair is not countermonotone
     assert not ok
+
+
+def test_countermonotone_witness_is_a_violating_pair_on_both_carriers():
+    f = FiniteFunction((0.1, 0.5, 0.9))
+    g = FiniteFunction((0.2, 0.2, 0.7))
+    ok, (i, j) = is_countermonotone(f, g)
+    assert not ok
+    assert (f.values[i] - f.values[j]) * (g.values[i] - g.values[j]) > 0.0
+
+    # the continuous carrier reports sample points, as is_comonotone does
+    f, g = PowerFunction(1.0), PowerFunction(2.0)
+    ok, (x, y) = is_countermonotone(f, g)
+    assert not ok
+    assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+    assert (eval_at(f, x) - eval_at(f, y)) * (eval_at(g, x) - eval_at(g, y)) > 0.0
+    ok, witness = is_countermonotone(f, PwlFunction((0.0, 1.0), (0.8, 0.3)))
+    assert ok and witness is None
+
+
+def test_countermonotone_check_agrees_with_quadratic_oracle():
+    rng = rng_of(29)
+    for _ in range(500):
+        n = int(rng.integers(2, 11))
+        # quarter-step values, so ties within f and within g are common
+        fv = tuple(float(v) for v in rng.integers(0, 5, n) / 4.0)
+        gv = tuple(float(v) for v in rng.integers(0, 5, n) / 4.0)
+        if rng.random() < 0.5:
+            gv = tuple(sorted(gv, reverse=True))
+            fv = tuple(sorted(fv))
+        got, witness = is_countermonotone(FiniteFunction(fv), FiniteFunction(gv))
+        want = all(
+            (fv[i] - fv[j]) * (gv[i] - gv[j]) <= 0.0 for i in range(n) for j in range(n)
+        )
+        assert got == want
+        if not got:
+            i, j = witness
+            assert (fv[i] - fv[j]) * (gv[i] - gv[j]) > 0.0
 
 
 def test_sort_check_agrees_with_quadratic_oracle():

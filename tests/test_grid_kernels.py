@@ -177,16 +177,20 @@ _pow, _pinv = ineq._pow, ineq._pinv
 def ref_two_function(op, star, xi, om, reverse, dnodes, cnodes):
     xi0, xi1, xi2 = xi
     om0, om1, om2 = om
+
+    def ev(x, c):
+        return eval_op(op, min(x, op.cap), c)
+
     for a in dnodes:
         for b in dnodes:
             sab = eval_op(star, min(a, star.cap), min(b, star.cap))
             for c in cnodes:
-                lhs = _pow(eval_op(op, min(_pow(sab, xi0), op.cap), c), om0)
+                lhs = _pow(ev(_pow(sab, xi0), c), om0)
                 r1 = eval_op(
-                    star, min(_pow(eval_op(op, _pow(a, xi1), c), om1), star.cap), min(b, star.cap)
+                    star, min(_pow(ev(_pow(a, xi1), c), om1), star.cap), min(b, star.cap)
                 )
                 r2 = eval_op(
-                    star, min(a, star.cap), min(_pow(eval_op(op, _pow(b, xi2), c), om2), star.cap)
+                    star, min(a, star.cap), min(_pow(ev(_pow(b, xi2), c), om2), star.cap)
                 )
                 if reverse:
                     if lhs > min(r1, r2) + SLACK:
@@ -223,6 +227,9 @@ def ref_single(tid, op, phi, exps, dnodes, cnodes):
 
 
 def ref_H(H, args):
+    if H.kind == "binary":
+        x, y = args
+        return eval_op(H.op, min(x, H.op.cap), min(y, H.op.cap))
     if H.kind == "min":
         return min(args)
     if H.kind == "max":
@@ -333,7 +340,10 @@ transform_st = st.one_of(
 
 @st.composite
 def aggregation_st(draw, arity):
-    kind = draw(st.sampled_from(("min", "max", "prod", "wmean", "table")))
+    kinds = ("min", "max", "prod", "wmean", "table") + (("binary",) if arity == 2 else ())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "binary":
+        return ineq.NaryOp("binary", op=draw(ops_st))
     if kind == "min":
         return h_min(arity)
     if kind == "max":
@@ -513,11 +523,26 @@ def test_domination_matches_loop_on_drawn_grids(dominant, dominated, cap, n, hi)
 exps_st = st.tuples(exponent_st, exponent_st, exponent_st)
 
 
+def binary_condition(op, star, xi, om, reverse, dnodes, cnodes):
+    """A two-function condition: the n-ary one at arity 2 with H = star."""
+    H = ineq.NaryOp("binary", op=star)
+    return ineq._nary_condition("star_general", op, H, (), (), xi, om, reverse, dnodes, cnodes)
+
+
 @given(ops_st, ops_st, exps_st, exps_st, st.booleans(), quarter_st, quarter_st)
 @EXAMPLES
 def test_two_function_condition_matches_loop(op, star, xi, om, reverse, hi_d, hi_m):
     args = (op, star, xi, om, reverse, grid(hi_d, 13), grid(hi_m, 13))
-    same(ref_two_function, ineq._two_function_condition, *args)
+    same(ref_two_function, binary_condition, *args)
+
+
+def test_two_function_condition_clamps_like_the_nary_one():
+    # data above a cap-1 op: the inner op argument is clamped to the cap
+    # in both forms, so neither raises "outside [0, 1.0]"
+    cheb = check_scalar_condition("chebyshev", min_op(1.0), star=min_op(1.0), hi_data=2.0)
+    nary = check_scalar_condition("thm32", min_op(1.0), H=h_min(2), hi_data=2.0)
+    assert cheb.passed and nary.passed
+    assert cheb.grid == nary.grid
 
 
 @given(

@@ -23,7 +23,6 @@ from fuzzyint import (
     counting_measure,
     essinf,
     identity,
-    measure_of,
     power,
     survival,
     validate_measure,
@@ -60,12 +59,12 @@ def test_validation_catches_non_monotone_table():
 
 def test_counting_measure_counts_bits():
     m = counting_measure(3)
-    assert measure_of(m, 0b000) == 0.0
-    assert measure_of(m, 0b101) == 2.0
-    assert measure_of(m, 0b111) == 3.0
+    assert m.value(0b000) == 0.0
+    assert m.value(0b101) == 2.0
+    assert m.value(0b111) == 3.0
     mn = counting_measure(4, normalized=True)
     assert mn.total == 1.0
-    assert measure_of(mn, 0b0011) == 0.5
+    assert mn.value(0b0011) == 0.5
 
 
 def test_random_tables_are_valid_and_normalized():

@@ -16,6 +16,7 @@ from fuzzyint import (
     FlooredFunction,
     InputError,
     LatticeCombo,
+    NaryOp,
     PowerFunction,
     PwlFunction,
     TheoremInstance,
@@ -173,6 +174,14 @@ def test_nary_round_trips():
             min(a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)))):
         back = nary_from_json(nary_to_json(H))
         assert back == H
+
+
+def test_binary_aggregation_has_no_json_form():
+    # the two-function families' internal H = star is never written out
+    with pytest.raises(InputError, match="no JSON form"):
+        nary_to_json(NaryOp("binary", op=min_op(1.0)))
+    with pytest.raises(InputError, match="unknown aggregation kind"):
+        nary_from_json({"kind": "binary", "arity": 2})
 
 
 # ---------------------------------------------------------------------------
