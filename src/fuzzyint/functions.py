@@ -10,14 +10,17 @@ instead of silently approximating.
 
 Monotone transforms are strictly increasing maps of [0, inf) built from
 powers, positive-slope affine maps and compositions, all with closed-form
-inverses.
+inverses.  Like ops, a transform builds its scalar evaluator
+(``kernel``) once, at construction; :meth:`MonotoneTransform.apply`
+calls through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+import operator
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,6 +59,8 @@ class MonotoneTransform:
     a: float = 1.0
     b: float = 0.0
     parts: tuple["MonotoneTransform", ...] = ()
+    # the scalar evaluator of apply, built from the fields above once
+    kernel: Callable[[float], float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == T_POWER and not self.p > 0.0:
@@ -64,22 +69,14 @@ class MonotoneTransform:
             raise InputError("affine transform needs slope > 0")
         if self.kind not in (T_IDENTITY, T_POWER, T_AFFINE, T_COMPOSE):
             raise InputError(f"unknown transform kind {self.kind!r}")
+        object.__setattr__(self, "kernel", _transform_kernel(self))
+
+    def __reduce__(self):
+        # the kernel is a closure and cannot be pickled; rebuild it instead
+        return MonotoneTransform, (self.kind, self.p, self.a, self.b, self.parts)
 
     def apply(self, x: float) -> float:
-        if self.kind == T_IDENTITY:
-            return float(x)
-        if self.kind == T_POWER:
-            if x == INF:
-                return INF
-            return float(x) ** self.p
-        if self.kind == T_AFFINE:
-            if x == INF:
-                return INF
-            return self.a * float(x) + self.b
-        y = float(x)
-        for t in self.parts:
-            y = t.apply(y)
-        return y
+        return self.kernel(x)
 
     __call__ = apply
 
@@ -106,6 +103,38 @@ class MonotoneTransform:
 
     def at_zero(self) -> float:
         return self.apply(0.0)
+
+
+def _transform_kernel(t: MonotoneTransform) -> Callable[[float], float]:
+    if t.kind == T_IDENTITY:
+        return float
+    if t.kind == T_POWER:
+        p = t.p
+
+        def power_kernel(x):
+            if x == INF:
+                return INF
+            return float(x) ** p
+
+        return power_kernel
+    if t.kind == T_AFFINE:
+        a, b = t.a, t.b
+
+        def affine_kernel(x):
+            if x == INF:
+                return INF
+            return a * float(x) + b
+
+        return affine_kernel
+    steps = tuple(part.kernel for part in t.parts)
+
+    def compose_kernel(x):
+        y = float(x)
+        for step in steps:
+            y = step(y)
+        return y
+
+    return compose_kernel
 
 
 IDENTITY = MonotoneTransform(T_IDENTITY)
@@ -358,35 +387,55 @@ def sup_value(f) -> float:
     raise InputError(f"no sup for {type(f).__name__}")
 
 
-def eval_at(f, x: float) -> float:
-    """Pointwise evaluation; x is an index for finite carriers."""
+def _sampler(f) -> Callable[[float], float]:
+    """Pointwise evaluator of f, with its structure resolved once.
+
+    x is an index on finite carriers.  Sampling many points through one
+    sampler skips the per-point type dispatch of :func:`eval_at`.
+    """
     if isinstance(f, FiniteFunction):
-        return f.values[int(x)]
+        values = f.values
+        return lambda x: values[int(x)]
     if isinstance(f, ConstFunction):
-        return f.c
+        c = f.c
+        return lambda x: c
     if isinstance(f, PowerFunction):
-        return f.coef * float(x) ** f.p
+        coef, p = f.coef, f.p
+        return lambda x: coef * float(x) ** p
     if isinstance(f, PwlFunction):
         xs, ys = f.xs, f.ys
-        if x <= 0.0:
-            return ys[0]
-        if x >= 1.0:
+
+        def pwl(x):
+            if x <= 0.0:
+                return ys[0]
+            if x >= 1.0:
+                return ys[-1]
+            for i in range(1, len(xs)):
+                if x <= xs[i]:
+                    w = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+                    return ys[i - 1] + w * (ys[i] - ys[i - 1])
             return ys[-1]
-        for i in range(1, len(xs)):
-            if x <= xs[i]:
-                w = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
-                return ys[i - 1] + w * (ys[i] - ys[i - 1])
-        return ys[-1]
+
+        return pwl
     if isinstance(f, CappedFunction):
-        return min(eval_at(f.base, x), f.cap_value)
+        base, c = _sampler(f.base), f.cap_value
+        return lambda x: min(base(x), c)
     if isinstance(f, FlooredFunction):
-        return max(eval_at(f.base, x), f.floor_value)
+        base, c = _sampler(f.base), f.floor_value
+        return lambda x: max(base(x), c)
     if isinstance(f, LatticeCombo):
-        vals = [eval_at(p, x) for p in f.parts]
-        return min(vals) if f.kind == "min" else max(vals)
+        parts = tuple(_sampler(p) for p in f.parts)
+        pick = min if f.kind == "min" else max
+        return lambda x: pick([s(x) for s in parts])
     if isinstance(f, TransformedFunction):
-        return f.transform.apply(eval_at(f.base, x))
+        base, apply = _sampler(f.base), f.transform.kernel
+        return lambda x: apply(base(x))
     raise InputError(f"cannot evaluate {type(f).__name__}")
+
+
+def eval_at(f, x: float) -> float:
+    """Pointwise evaluation; x is an index for finite carriers."""
+    return _sampler(f)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +444,19 @@ def eval_at(f, x: float) -> float:
 
 
 def _comonotone_vectors(fv: Sequence[float], gv: Sequence[float]):
-    # walk groups of equal f in ascending order, tracking the largest g
+    # both nondecreasing in carrier order: every pair is concordant, so
+    # one linear pass decides (a nan fails <= and goes on to the walk)
+    if all(map(operator.le, fv, fv[1:])) and all(map(operator.le, gv, gv[1:])):
+        return True, None
+    # otherwise walk groups of equal f in ascending order, tracking the largest g
     # seen in strictly earlier groups; any later smaller g is a witness
     order = sorted(range(len(fv)), key=lambda i: (fv[i], gv[i]))
     best_idx = -1
     best_g = -INF
     i = 0
     while i < len(order):
-        j = i
+        # a group holds at least its first index, even when f there is nan
+        j = i + 1
         while j < len(order) and fv[order[j]] == fv[order[i]]:
             j += 1
         for idx in order[i:j]:
@@ -423,7 +477,8 @@ def _paired_values(f, g, samples: int, what: str):
         return f.values, g.values, None
     if is_continuous(f) and is_continuous(g):
         xs = [i / (samples - 1) for i in range(samples)]
-        return [eval_at(f, x) for x in xs], [eval_at(g, x) for x in xs], xs
+        sf, sg = _sampler(f), _sampler(g)
+        return [sf(x) for x in xs], [sg(x) for x in xs], xs
     raise InputError(f"{what} needs two functions on one carrier")
 
 
@@ -439,9 +494,11 @@ def is_comonotone(f, g, samples: int = 257):
     """Check (f(x)-f(y))(g(x)-g(y)) >= 0 for all pairs.
 
     Returns (ok, witness) where witness is a violating index pair, or a
-    violating sample pair on the continuous carrier.  The check sorts by
-    (f, g) and tracks the running best g, so it is O(n log n) while
-    agreeing with the quadratic definition.
+    violating sample pair on the continuous carrier.  When both value
+    vectors are nondecreasing in carrier order the answer is yes after one
+    linear pass; otherwise the check sorts by (f, g) and tracks the
+    running best g, so it is O(n log n) while agreeing with the quadratic
+    definition.
     """
     fv, gv, xs = _paired_values(f, g, samples, "comonotonicity")
     return _at_points(_comonotone_vectors(fv, gv), xs)

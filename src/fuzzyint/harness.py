@@ -24,7 +24,7 @@ from .functions import (
     make_comonotone_system,
     power,
 )
-from .measures import DistortedLebesgue, FiniteMonotoneMeasure, counting_measure
+from .measures import MAX_GROUND_SET, DistortedLebesgue, FiniteMonotoneMeasure, counting_measure
 from .integrals import sugeno
 from .inequalities import (
     NARY_IDS,
@@ -87,6 +87,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.theorem_id not in THEOREM_IDS:
             raise InputError(f"unknown theorem id {self.theorem_id!r}")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
         if self.trials < 0:
             raise InputError("trials must be nonnegative")
         if self.carrier not in ("finite", "lebesgue_power"):
@@ -95,6 +97,10 @@ class CampaignConfig:
             raise InputError(f"unknown measure family {self.measure_family!r}")
         if self.carrier == "finite" and self.measure_family == "distorted":
             raise InputError("distorted measures live on the interval carrier")
+        if self.carrier == "finite" and not (
+            len(self.n_range) == 2 and 1 <= self.n_range[0] <= self.n_range[1] <= MAX_GROUND_SET
+        ):
+            raise InputError(f"n_range must be [lo, hi] with 1 <= lo <= hi <= {MAX_GROUND_SET}")
 
     def exponent_range(self, name: str):
         for k, rng in self.exponent_ranges:
@@ -124,29 +130,37 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "CampaignConfig":
-        return cls(
-            theorem_id=d["theorem"],
-            seed=int(d["seed"]),
-            trials=int(d["trials"]),
-            carrier=d.get("carrier", "finite"),
-            n_range=tuple(int(x) for x in d.get("n_range", (2, 8))),
-            measure_family=d.get("measure_family", "random_table"),
-            distortion_p_range=tuple(float(x) for x in d.get("distortion_p_range", (0.5, 2.0))),
-            op_pool=tuple(op_from_json(o) for o in d.get("op_pool", ())) or (min_op(),),
-            star_pool=tuple(op_from_json(o) for o in d.get("star_pool", ())),
-            H_pool=tuple(nary_from_json(h) for h in d.get("H_pool", ())),
-            phi_pool=tuple(
-                tuple(transform_from_json(t) for t in ts) for ts in d.get("phi_pool", ())
-            ),
-            exponent_ranges=tuple(
-                (k, (float(v[0]), float(v[1])))
-                for k, v in sorted(d.get("exponent_ranges", {}).items())
-            ),
-            respect_hypotheses=bool(d.get("respect_hypotheses", True)),
-            normalize_measure=bool(d.get("normalize_measure", True)),
-            scale=d.get("scale", "unit"),
-            shrink=bool(d.get("shrink", True)),
-        )
+        """Config from its JSON document; a missing or mistyped field is an InputError."""
+        try:
+            return cls(
+                theorem_id=d["theorem"],
+                seed=int(d["seed"]),
+                trials=int(d["trials"]),
+                carrier=d.get("carrier", "finite"),
+                n_range=tuple(int(x) for x in d.get("n_range", (2, 8))),
+                measure_family=d.get("measure_family", "random_table"),
+                distortion_p_range=tuple(float(x) for x in d.get("distortion_p_range", (0.5, 2.0))),
+                op_pool=tuple(op_from_json(o) for o in d.get("op_pool", ())) or (min_op(),),
+                star_pool=tuple(op_from_json(o) for o in d.get("star_pool", ())),
+                H_pool=tuple(nary_from_json(h) for h in d.get("H_pool", ())),
+                phi_pool=tuple(
+                    tuple(transform_from_json(t) for t in ts) for ts in d.get("phi_pool", ())
+                ),
+                exponent_ranges=tuple(
+                    (k, (float(v[0]), float(v[1])))
+                    for k, v in sorted(d.get("exponent_ranges", {}).items())
+                ),
+                respect_hypotheses=bool(d.get("respect_hypotheses", True)),
+                normalize_measure=bool(d.get("normalize_measure", True)),
+                scale=d.get("scale", "unit"),
+                shrink=bool(d.get("shrink", True)),
+            )
+        except InputError:
+            raise
+        except KeyError as exc:
+            raise InputError(f"campaign config needs field {exc.args[0]!r}") from exc
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise InputError(f"malformed campaign config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +490,14 @@ def run_campaign(
     hypothesis-passing instance fails, while deliberately unmet regimes
     report their violations with hypotheses_met false.
     """
+    if config.carrier == "finite" and config.scale == "extended":
+        # extended-scale values exceed 1, where a cap-1 op cannot evaluate;
+        # refuse before the header rather than die mid-stream
+        capped = [op.label() for op in config.op_pool + config.star_pool if op.cap == 1.0]
+        if capped:
+            raise InputError(
+                f"extended scale needs uncapped ops, but these have cap 1: {', '.join(capped)}"
+            )
     hyp_pass = 0
     violations = []
     if on_record is not None:

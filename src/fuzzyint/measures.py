@@ -264,8 +264,33 @@ def _pwl_level_lengths(f: PwlFunction, t: float) -> tuple[float, float]:
     return weak_len, strict_len
 
 
+def _lattice_level(kind: str, levels: tuple) -> Callable[[float], float]:
+    """Pointwise min or max of level functions, ties broken as min/max do."""
+    if len(levels) != 2:
+        pick = min if kind == "min" else max
+
+        def level(t: float) -> float:
+            return pick(q(t) for q in levels)
+
+        return level
+    q0, q1 = levels
+    if kind == "min":
+
+        def level(t: float) -> float:
+            a, b = q0(t), q1(t)
+            return b if b < a else a
+
+    else:
+
+        def level(t: float) -> float:
+            a, b = q0(t), q1(t)
+            return b if b > a else a
+
+    return level
+
+
 def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
-    g = m.distortion.apply
+    g = m.distortion.kernel
     total = m.total
 
     if isinstance(f, TransformedFunction):
@@ -283,23 +308,18 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
         return SurvivalProfile(weak, strict, (c,), c, total, exact=True, full_sup=c)
 
     if isinstance(f, PowerFunction):
-        coef, p = f.coef, f.p
-
-        def length(t: float) -> float:
-            if t <= 0.0:
-                return 1.0
-            if t >= coef:
-                return 0.0
-            return 1.0 - (t / coef) ** (1.0 / p)
+        coef, inv_p = f.coef, 1.0 / f.p
 
         def weak(t: float) -> float:
-            return g(length(t))
-
-        def strict(t: float) -> float:
-            if t == 0.0:
+            if t <= 0.0:
                 return g(1.0)
-            return g(length(t))
+            if t >= coef:
+                return g(0.0)
+            return g(1.0 - (t / coef) ** inv_p)
 
+        # f is strictly increasing, so {f > t} and {f >= t} differ by at
+        # most one point and have the same length
+        strict = weak
         cands = (0.0, coef)
         return SurvivalProfile(weak, strict, cands, coef, total, False, full_sup=0.0)
 
@@ -366,12 +386,8 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
         # the part measures, distortion included
         parts = tuple(_profile_of(m, p) for p in f.parts)
         pick = min if f.kind == "min" else max
-
-        def weak(t: float) -> float:
-            return pick(p.weak(t) for p in parts)
-
-        def strict(t: float) -> float:
-            return pick(p.strict(t) for p in parts)
+        weak = _lattice_level(f.kind, tuple(p.weak for p in parts))
+        strict = _lattice_level(f.kind, tuple(p.strict for p in parts))
 
         t_max = pick(p.t_max for p in parts)
         cands = set()

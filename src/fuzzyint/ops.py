@@ -11,17 +11,21 @@ are claims; :func:`verify_op_properties` checks them on a finite grid and
 reports witnesses for failures.  A grid pass is a certificate for the grid
 only, never a proof, and every report says so.
 
-There are two evaluators.  :func:`eval_op` takes one pair of floats; it is
-kept scalar on purpose, because the threshold optimiser and the pointwise
-paths call it one pair at a time, where numpy's per-call overhead would
-cost several times the evaluation.  :func:`eval_grid` evaluates op over
-broadcast float arrays with one array kernel per kind, and grid
-certificates go through :class:`GridEval`, which evaluates a whole grid at
-once yet reports the same first witness, and raises the same error, as a
-loop over the nodes in C order would.  Powers and transforms in grid
-checks are scalar ``**`` applied to the distinct values of an array:
-numpy's SIMD ``np.power`` can differ from ``**`` in the last ulp, and
-that is enough to flip a comparison at the 1e-12 slack.
+There are two evaluators.  Scalar evaluation goes through a per-op
+kernel: every :class:`BinaryOp` builds its kernel once, at construction,
+with the kind, neutral and cap resolved, so a call pays no dispatch.
+:func:`eval_op` calls through ``op.kernel``, and hot loops such as the
+threshold optimiser hold the kernel itself.  The kernel stays scalar on
+purpose: the optimiser and the pointwise paths evaluate one pair at a
+time, where numpy's per-call overhead would cost several times the
+evaluation.  :func:`eval_grid` evaluates op over broadcast float arrays
+with one array kernel per kind, and grid certificates go through
+:class:`GridEval`, which evaluates a whole grid at once yet reports the
+same first witness, and raises the same error, as a loop over the nodes
+in C order would.  Powers and transforms in grid checks are scalar
+``**`` applied to the distinct values of an array: numpy's SIMD
+``np.power`` can differ from ``**`` in the last ulp, and that is enough
+to flip a comparison at the 1e-12 slack.
 """
 
 from __future__ import annotations
@@ -108,6 +112,16 @@ class BinaryOp:
     table_nodes: tuple[float, ...] = ()
     table_values: tuple[float, ...] = ()
     name: str = ""
+    # the scalar evaluator, built from the fields above once
+    kernel: Callable[[float, float], float] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kernel", _scalar_kernel(self))
+
+    def __reduce__(self):
+        # the kernel is a closure and cannot be pickled; rebuild it instead
+        fields = (self.kind, self.neutral, self.cap, self.declared_flags, self.fn)
+        return BinaryOp, fields + (self.table_nodes, self.table_values, self.name)
 
     def __call__(self, a: float, b: float) -> float:
         return eval_op(self, a, b)
@@ -166,59 +180,109 @@ def nearest_indices(nodes: Sequence[float], x) -> np.ndarray:
     return np.where((j > 0) & (d < INF), k, 0)
 
 
-def eval_op(op: BinaryOp, a: float, b: float) -> float:
-    """Evaluate op(a, b), validating both arguments against op.cap."""
-    a = as_extvalue(a, op.cap)
-    b = as_extvalue(b, op.cap)
-    k = op.kind
+def _scalar_kernel(op: BinaryOp) -> Callable[[float, float], float]:
+    """op's scalar evaluator, with its kind, neutral and cap resolved now.
+
+    The kernel validates a, then b, as :func:`as_extvalue` does and with
+    its error text, then applies the kind's arithmetic to the floats.
+    Kinds that cannot evaluate raise after validating, on every call.
+    """
+    k, e, cap = op.kind, op.neutral, op.cap
     if k == KIND_MIN:
-        return a if a <= b else b
-    if k == KIND_PROD:
-        return xmul(a, b)
-    if k == KIND_SMALLEST:
+
+        def core(a, b):
+            return a if a <= b else b
+
+    elif k == KIND_PROD:
+        core = xmul
+    elif k == KIND_SMALLEST:
         # smallest pseudo-multiplication with neutral e:
         # 0 below e on both sides, max when both reach e, min otherwise
-        e = op.neutral
-        if a < e and b < e:
-            return 0.0
-        if a >= e and b >= e:
-            return a if a >= b else b
-        return a if a <= b else b
-    if k == KIND_GREATEST:
-        # greatest pseudo-multiplication with neutral e
-        e = op.neutral
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        if a <= e and b <= e:
+        def core(a, b):
+            if a < e and b < e:
+                return 0.0
+            if a >= e and b >= e:
+                return a if a >= b else b
             return a if a <= b else b
-        if a > e and b > e:
-            return INF
-        return a if a >= b else b
-    if k == KIND_LUKASIEWICZ:
-        return max(0.0, a + b - 1.0)
-    if k == KIND_DRASTIC:
-        if b == 1.0:
-            return a
-        if a == 1.0:
-            return b
-        return 0.0
-    if k == KIND_MAX:
-        return a if a >= b else b
-    if k == KIND_SUM:
-        return a + b
-    if k == KIND_PROBSUM:
-        return a + b - a * b
-    if k == KIND_LUK_CONORM:
-        return min(1.0, a + b)
-    if k == KIND_CUSTOM:
-        if op.fn is not None:
-            return float(op.fn(a, b))
-        if op.table_nodes:
-            i = nearest_index(op.table_nodes, a)
-            j = nearest_index(op.table_nodes, b)
-            return op.table_values[i * len(op.table_nodes) + j]
-        raise InputError("custom op needs fn or table")
-    raise InputError(f"unknown op kind {k!r}")
+
+    elif k == KIND_GREATEST:
+        # greatest pseudo-multiplication with neutral e
+        def core(a, b):
+            if a == 0.0 or b == 0.0:
+                return 0.0
+            if a <= e and b <= e:
+                return a if a <= b else b
+            if a > e and b > e:
+                return INF
+            return a if a >= b else b
+
+    elif k == KIND_LUKASIEWICZ:
+
+        def core(a, b):
+            return max(0.0, a + b - 1.0)
+
+    elif k == KIND_DRASTIC:
+
+        def core(a, b):
+            if b == 1.0:
+                return a
+            if a == 1.0:
+                return b
+            return 0.0
+
+    elif k == KIND_MAX:
+
+        def core(a, b):
+            return a if a >= b else b
+
+    elif k == KIND_SUM:
+
+        def core(a, b):
+            return a + b
+
+    elif k == KIND_PROBSUM:
+
+        def core(a, b):
+            return a + b - a * b
+
+    elif k == KIND_LUK_CONORM:
+
+        def core(a, b):
+            return min(1.0, a + b)
+
+    elif k == KIND_CUSTOM and op.fn is not None:
+        fn = op.fn
+
+        def core(a, b):
+            return float(fn(a, b))
+
+    elif k == KIND_CUSTOM and op.table_nodes:
+        nodes, values, n = op.table_nodes, op.table_values, len(op.table_nodes)
+
+        def core(a, b):
+            return values[nearest_index(nodes, a) * n + nearest_index(nodes, b)]
+
+    else:
+        msg = "custom op needs fn or table" if k == KIND_CUSTOM else f"unknown op kind {k!r}"
+
+        def core(a, b):
+            raise InputError(msg)
+
+    def kernel(a, b):
+        x = float(a)
+        if not 0.0 <= x <= cap:
+            as_extvalue(a, cap)
+        y = float(b)
+        if not 0.0 <= y <= cap:
+            as_extvalue(b, cap)
+        return core(x, y)
+
+    return kernel
+
+
+def eval_op(op: BinaryOp, a: float, b: float) -> float:
+    """Evaluate op(a, b), validating both arguments against op.cap."""
+    return op.kernel(a, b)
 
 
 # -- array kernels ----------------------------------------------------------

@@ -178,6 +178,39 @@ def test_falsify_clean_campaign_exits_zero(tmp_path, capsys):
     assert records[-1]["violations"] == []
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"trials": "many"},
+        {"n_range": [5, 2]},
+        {"n_range": [30, 30]},
+        {"seed": -1},
+        {"seed": None},
+        {"op_pool": [{"kind": "prod", "cap": 1}], "scale": "extended", "seed": 3,
+         "theorem": "chebyshev", "exponent_ranges": {}},
+    ],
+    ids=["trials-string", "n-range-reversed", "n-range-too-large", "negative-seed",
+         "null-seed", "extended-cap-one"],
+)
+def test_falsify_bad_config_exits_two_before_any_output(tmp_path, capsys, patch):
+    doc = dict(falsify_config_doc(), **patch)
+    path = write(tmp_path, "config.json", doc)
+    code, out, err = run_cli(capsys, "falsify", "--theorem", doc["theorem"], "--config", path)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert set(json.loads(err)) == {"error"}
+
+
+def test_falsify_config_without_seed_exits_two(tmp_path, capsys):
+    doc = falsify_config_doc()
+    del doc["seed"]
+    path = write(tmp_path, "config.json", doc)
+    code, out, err = run_cli(capsys, "falsify", "--theorem", "star_general", "--config", path)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "campaign config needs field 'seed'"}
+
+
 # ---------------------------------------------------------------------------
 # check-op and the fixture
 # ---------------------------------------------------------------------------

@@ -122,6 +122,64 @@ def test_config_validation():
         chebyshev_config(carrier="finite", measure_family="distorted")
 
 
+@pytest.mark.parametrize("n_range", [(30, 30), (21, 21), (5, 2), (0, 3), (3,), (1, 2, 3)])
+def test_finite_n_range_is_bounded_before_anything_is_drawn(n_range):
+    # (30, 30) would ask for a 2**30 table if the bound were checked late
+    with pytest.raises(InputError, match="n_range"):
+        chebyshev_config(n_range=n_range)
+
+
+def test_n_range_bounds_only_the_finite_carrier():
+    cfg = chebyshev_config(
+        carrier="lebesgue_power", measure_family="distorted", n_range=(30, 30),
+        op_pool=(min_op(),), star_pool=(min_op(),),
+    )
+    assert cfg.n_range == (30, 30)
+    assert chebyshev_config(n_range=(1, 20)).n_range == (1, 20)
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(InputError, match="seed"):
+        chebyshev_config(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "patch, needle",
+    [
+        ({"trials": "many"}, "malformed"),
+        ({"seed": None}, "malformed"),
+        ({"n_range": 5}, "malformed"),
+        ({"op_pool": ["min"]}, "malformed"),
+        ({"exponent_ranges": [1, 2]}, "malformed"),
+        ({"exponent_ranges": {"xi1": [0.3]}}, "malformed"),
+    ],
+)
+def test_config_json_with_mistyped_fields_is_an_input_error(patch, needle):
+    doc = dict(falsifier_config().to_json(), **patch)
+    with pytest.raises(InputError, match=needle):
+        CampaignConfig.from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["theorem", "seed", "trials"])
+def test_config_json_with_missing_fields_is_an_input_error(field):
+    doc = falsifier_config().to_json()
+    del doc[field]
+    with pytest.raises(InputError, match=f"needs field '{field}'"):
+        CampaignConfig.from_json(doc)
+
+
+def test_extended_scale_with_cap_one_ops_is_refused_before_the_header():
+    records = []
+    cfg = chebyshev_config(scale="extended", respect_hypotheses=False, seed=3,
+                           op_pool=(prod_op(1.0),), star_pool=(min_op(1.0),))
+    with pytest.raises(InputError, match="cap 1: prod, min"):
+        run_campaign(cfg, on_record=records.append)
+    assert records == []
+    # uncapped pools run on extended data
+    cfg = chebyshev_config(trials=20, scale="extended", op_pool=(min_op(),), star_pool=(prod_op(),))
+    assert run_campaign(cfg).trials == 20
+
+
 def test_config_json_round_trip():
     cfg = falsifier_config()
     back = CampaignConfig.from_json(cfg.to_json())
