@@ -31,6 +31,7 @@ from .serialize import (
     instance_from_json,
     measure_from_json,
     op_from_json,
+    reading,
 )
 
 _INTEGRALS = ("universal", "sugeno", "shilkret", "smallest-e", "seminormed", "semiconormed")
@@ -52,11 +53,11 @@ def _emit(doc: dict) -> None:
 
 def _cmd_integrate(args) -> int:
     doc = _read_json(args.instance)
-    if "measure" not in doc or "function" not in doc and "functions" not in doc:
-        raise InputError("instance document needs measure and function entries")
-    measure = measure_from_json(doc["measure"])
-    fdoc = doc.get("function") or doc["functions"][0]
-    f = function_from_json(fdoc)
+    with reading("instance document"):
+        if "measure" not in doc or "function" not in doc and "functions" not in doc:
+            raise InputError("instance document needs measure and function entries")
+        measure = measure_from_json(doc["measure"])
+        f = function_from_json(doc.get("function") or doc["functions"][0])
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     kind = args.integral
     if kind in ("universal", "seminormed", "semiconormed"):
@@ -80,7 +81,9 @@ def _cmd_integrate(args) -> int:
         e = args.e if args.e is not None else doc.get("e")
         if e is None:
             raise InputError("smallest-e integral needs --e")
-        res = smallest_e_integral(measure, f, float(e), tol=tol)
+        with reading("instance document"):
+            e = float(e)
+        res = smallest_e_integral(measure, f, e, tol=tol)
     _emit({"value": res.value, "tol": res.tol, "candidates": res.candidates})
     return 0
 

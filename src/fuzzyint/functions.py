@@ -171,9 +171,7 @@ def compose(*ts: MonotoneTransform) -> MonotoneTransform:
     return MonotoneTransform(T_COMPOSE, parts=tuple(flat))
 
 
-def is_identity(t: MonotoneTransform | None) -> bool:
-    if t is None:
-        return True
+def is_identity(t: MonotoneTransform) -> bool:
     if t.kind == T_IDENTITY:
         return True
     if t.kind == T_POWER:
@@ -243,9 +241,6 @@ class FiniteFunction:
 
     def max_value(self) -> float:
         return max(self.values)
-
-    def is_unit_scale(self) -> bool:
-        return all(v <= 1.0 for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -469,14 +464,18 @@ def _comonotone_vectors(fv: Sequence[float], gv: Sequence[float]):
     return True, None
 
 
-def _paired_values(f, g, samples: int, what: str):
+# sample points of the unit interval in the comonotonicity checks
+COMONOTONE_SAMPLES = 257
+
+
+def _paired_values(f, g, what: str):
     """Value vectors of f and g, and the sample points on the interval."""
     if isinstance(f, FiniteFunction) and isinstance(g, FiniteFunction):
         if f.n != g.n:
             raise InputError("carrier size mismatch")
         return f.values, g.values, None
     if is_continuous(f) and is_continuous(g):
-        xs = [i / (samples - 1) for i in range(samples)]
+        xs = [i / (COMONOTONE_SAMPLES - 1) for i in range(COMONOTONE_SAMPLES)]
         sf, sg = _sampler(f), _sampler(g)
         return [sf(x) for x in xs], [sg(x) for x in xs], xs
     raise InputError(f"{what} needs two functions on one carrier")
@@ -490,9 +489,11 @@ def _at_points(result, xs):
     return False, (xs[w[0]], xs[w[1]])
 
 
-def is_comonotone(f, g, samples: int = 257):
+def is_comonotone(f, g):
     """Check (f(x)-f(y))(g(x)-g(y)) >= 0 for all pairs.
 
+    Finite carriers compare every pair of points; the unit interval
+    compares the COMONOTONE_SAMPLES equally spaced points 0, 1/256, ..., 1.
     Returns (ok, witness) where witness is a violating index pair, or a
     violating sample pair on the continuous carrier.  When both value
     vectors are nondecreasing in carrier order the answer is yes after one
@@ -500,18 +501,18 @@ def is_comonotone(f, g, samples: int = 257):
     running best g, so it is O(n log n) while agreeing with the quadratic
     definition.
     """
-    fv, gv, xs = _paired_values(f, g, samples, "comonotonicity")
+    fv, gv, xs = _paired_values(f, g, "comonotonicity")
     return _at_points(_comonotone_vectors(fv, gv), xs)
 
 
-def is_countermonotone(f, g, samples: int = 257):
+def is_countermonotone(f, g):
     """Check (f(x)-f(y))(g(x)-g(y)) <= 0 for all pairs, with witness.
 
     f and g are countermonotone exactly when f and -g are comonotone, so
     this is the comonotone check on negated g values; witnesses are as in
     :func:`is_comonotone`.
     """
-    fv, gv, xs = _paired_values(f, g, samples, "countermonotonicity")
+    fv, gv, xs = _paired_values(f, g, "countermonotonicity")
     return _at_points(_comonotone_vectors(fv, [-v for v in gv]), xs)
 
 
@@ -545,12 +546,6 @@ def make_comonotone_system(seed, n: int, k: int, scale: str = "unit"):
 # ---------------------------------------------------------------------------
 # pointwise combination (closed algebra)
 # ---------------------------------------------------------------------------
-
-
-def _pwl_nodes(f: PwlFunction | ConstFunction) -> PwlFunction:
-    if isinstance(f, ConstFunction):
-        return PwlFunction((0.0, 1.0), (f.c, f.c))
-    return f
 
 
 def _pwl_merge(star: BinaryOp, f: PwlFunction, g: PwlFunction) -> PwlFunction:

@@ -45,6 +45,7 @@ from .serialize import (
     nary_to_json,
     op_from_json,
     op_to_json,
+    reading,
     transform_from_json,
     transform_to_json,
 )
@@ -129,38 +130,45 @@ class CampaignConfig:
         }
 
     @classmethod
+    @reading("campaign config")
     def from_json(cls, d: dict) -> "CampaignConfig":
         """Config from its JSON document; a missing or mistyped field is an InputError."""
-        try:
-            return cls(
-                theorem_id=d["theorem"],
-                seed=int(d["seed"]),
-                trials=int(d["trials"]),
-                carrier=d.get("carrier", "finite"),
-                n_range=tuple(int(x) for x in d.get("n_range", (2, 8))),
-                measure_family=d.get("measure_family", "random_table"),
-                distortion_p_range=tuple(float(x) for x in d.get("distortion_p_range", (0.5, 2.0))),
-                op_pool=tuple(op_from_json(o) for o in d.get("op_pool", ())) or (min_op(),),
-                star_pool=tuple(op_from_json(o) for o in d.get("star_pool", ())),
-                H_pool=tuple(nary_from_json(h) for h in d.get("H_pool", ())),
-                phi_pool=tuple(
-                    tuple(transform_from_json(t) for t in ts) for ts in d.get("phi_pool", ())
-                ),
-                exponent_ranges=tuple(
-                    (k, (float(v[0]), float(v[1])))
-                    for k, v in sorted(d.get("exponent_ranges", {}).items())
-                ),
-                respect_hypotheses=bool(d.get("respect_hypotheses", True)),
-                normalize_measure=bool(d.get("normalize_measure", True)),
-                scale=d.get("scale", "unit"),
-                shrink=bool(d.get("shrink", True)),
-            )
-        except InputError:
-            raise
-        except KeyError as exc:
-            raise InputError(f"campaign config needs field {exc.args[0]!r}") from exc
-        except (LookupError, TypeError, ValueError, AttributeError) as exc:
-            raise InputError(f"malformed campaign config: {exc}") from exc
+        return cls(
+            theorem_id=d["theorem"],
+            seed=_json_int(d["seed"], "seed"),
+            trials=_json_int(d["trials"], "trials"),
+            carrier=d.get("carrier", "finite"),
+            n_range=tuple(_json_int(x, "n_range entry") for x in d.get("n_range", (2, 8))),
+            measure_family=d.get("measure_family", "random_table"),
+            distortion_p_range=tuple(float(x) for x in d.get("distortion_p_range", (0.5, 2.0))),
+            op_pool=tuple(op_from_json(o) for o in d.get("op_pool", ())) or (min_op(),),
+            star_pool=tuple(op_from_json(o) for o in d.get("star_pool", ())),
+            H_pool=tuple(nary_from_json(h) for h in d.get("H_pool", ())),
+            phi_pool=tuple(
+                tuple(transform_from_json(t) for t in ts) for ts in d.get("phi_pool", ())
+            ),
+            exponent_ranges=tuple(
+                (k, (float(v[0]), float(v[1])))
+                for k, v in sorted(d.get("exponent_ranges", {}).items())
+            ),
+            respect_hypotheses=_json_bool(d.get("respect_hypotheses", True), "respect_hypotheses"),
+            normalize_measure=_json_bool(d.get("normalize_measure", True), "normalize_measure"),
+            scale=d.get("scale", "unit"),
+            shrink=_json_bool(d.get("shrink", True), "shrink"),
+        )
+
+
+def _json_int(v, name: str) -> int:
+    # a JSON bool parses to a Python bool, which is an int
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
+def _json_bool(v, name: str) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError(f"{name} must be true or false, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +389,10 @@ class ViolationRecord:
         return d
 
 
+def _header_json(config: CampaignConfig) -> dict:
+    return {"record": "header", "prng": PRNG_ALGORITHM, "config": config.to_json()}
+
+
 @dataclass(frozen=True)
 class CampaignReport:
     config: CampaignConfig
@@ -391,13 +403,6 @@ class CampaignReport:
     @property
     def exit_code(self) -> int:
         return 1 if self.violations else 0
-
-    def header_json(self) -> dict:
-        return {
-            "record": "header",
-            "prng": PRNG_ALGORITHM,
-            "config": self.config.to_json(),
-        }
 
     def summary_json(self) -> dict:
         return {
@@ -410,7 +415,7 @@ class CampaignReport:
         }
 
     def to_ndjson(self) -> str:
-        lines = [dumps_17g(self.header_json())]
+        lines = [dumps_17g(_header_json(self.config))]
         lines.extend(dumps_17g(v.to_json()) for v in self.violations)
         lines.append(dumps_17g(self.summary_json()))
         return "\n".join(lines) + "\n"
@@ -501,9 +506,7 @@ def run_campaign(
     hyp_pass = 0
     violations = []
     if on_record is not None:
-        on_record(
-            {"record": "header", "prng": PRNG_ALGORITHM, "config": config.to_json()}
-        )
+        on_record(_header_json(config))
     for i in range(config.trials):
         inst = gen_instance(config, i)
         verdict = verify(inst)

@@ -72,7 +72,6 @@ from .functions import (
 )
 from .measures import FiniteMonotoneMeasure, Measure
 from .integrals import (
-    DEFAULT_TOL,
     IntegralResult,
     semiconormed_integral,
     seminormed_integral,
@@ -346,9 +345,6 @@ class TheoremInstance:
                 return v
         return default
 
-    def exponents_dict(self) -> dict:
-        return {k: v for k, v in self.exponents}
-
 
 @dataclass(frozen=True)
 class InequalityVerdict:
@@ -415,13 +411,10 @@ def _two_function_exponents(tid: str, ex: Mapping):
     return xi, om
 
 
-def _nary_exponents(inst: TheoremInstance, n: int):
-    xi = inst.exponent("xi", None)
-    om = inst.exponent("omega", None)
-    if xi is None:
-        xi = tuple(1.0 for _ in range(n + 1))
-    if om is None:
-        om = tuple(1.0 for _ in range(n + 1))
+def _nary_exponents(ex: Mapping, n: int):
+    """xi, omega of an n-ary power family (thm32, thm42_h); each n + 1 long."""
+    xi = ex.get("xi", (1.0,) * (n + 1))
+    om = ex.get("omega", (1.0,) * (n + 1))
     if not (isinstance(xi, tuple) and isinstance(om, tuple)):
         raise InputError("n-ary exponents must be sequences xi, omega")
     if len(xi) != n + 1 or len(om) != n + 1:
@@ -430,6 +423,14 @@ def _nary_exponents(inst: TheoremInstance, n: int):
         if not v > 0.0:
             raise InputError("exponents must be positive")
     return xi, om
+
+
+def _lyapunov_exponents(ex: Mapping):
+    """Moment orders (r, s) of the Lyapunov family; a missing one reads as 1."""
+    r, s = ex.get("r", 1.0), ex.get("s", 1.0)
+    if not (r > 0.0 and s > 0.0):
+        raise InputError("moment orders must be positive")
+    return r, s
 
 
 def _pinv(t: MonotoneTransform, y: float) -> float:
@@ -452,14 +453,6 @@ def _pow(x: float, e: float) -> float:
 # ---------------------------------------------------------------------------
 
 _condition_cache: dict = {}
-
-
-def _condition_nodes(cap: float, n: int) -> tuple[float, ...]:
-    hi = 1.0 if cap == 1.0 else 2.0
-    pts = [hi * i / (n - 1) for i in range(n)]
-    if cap == INF:
-        pts.append(INF)
-    return tuple(pts)
 
 
 def _range_nodes(hi: float, n: int) -> tuple[float, ...]:
@@ -585,6 +578,7 @@ def check_scalar_condition(
     """
     if grid_n is not None and grid_n < 2:
         raise InputError("grid needs at least 2 nodes")
+    ex = dict(_freeze_exponents(exponents))
     cap = op.cap if star is None else min(op.cap, star.cap)
     if hi_data is None:
         hi_data = 1.0 if cap == 1.0 else 2.0
@@ -593,10 +587,7 @@ def check_scalar_condition(
     if condition_id in SINGLE_FUNCTION_IDS:
         n = 21 if grid_n is None else grid_n
         dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
-        exps = None
-        if condition_id == "lyapunov":
-            ex = dict(_freeze_exponents(exponents))
-            exps = (ex.get("r", 1.0), ex.get("s", 1.0))
+        exps = _lyapunov_exponents(ex) if condition_id == "lyapunov" else None
         check = _single_condition(condition_id, op, tuple(phi), exps, dnodes, cnodes)
     elif condition_id in TWO_FUNCTION_IDS or condition_id in NARY_IDS:
         xi = om = ()
@@ -604,13 +595,11 @@ def check_scalar_condition(
             if star is None:
                 raise InputError("two-function condition needs a pointwise operation")
             H = NaryOp("binary", op=star)
-            xi, om = _two_function_exponents(condition_id, dict(_freeze_exponents(exponents)))
+            xi, om = _two_function_exponents(condition_id, ex)
         elif H is None:
             raise InputError("n-ary condition needs an aggregation")
         elif condition_id in ("thm32", "thm42_h"):
-            ex = dict(_freeze_exponents(exponents))
-            xi = ex.get("xi", tuple(1.0 for _ in range(H.arity + 1)))
-            om = ex.get("omega", tuple(1.0 for _ in range(H.arity + 1)))
+            xi, om = _nary_exponents(ex, H.arity)
         per_axis = max(5, int(round(30000 ** (1.0 / (H.arity + 1)))))
         n = min(per_axis, 13) if grid_n is None else grid_n
         dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
@@ -714,7 +703,9 @@ def _summary_check(name: str, rep: PropertyReport) -> CheckResult:
 
 def _contraction_check(op: BinaryOp, total: float) -> CheckResult:
     def run():
-        nodes = list(_condition_nodes(op.cap, 41))
+        nodes = _range_nodes(1.0 if op.cap == 1.0 else 2.0, 41)
+        if op.cap == INF:
+            nodes += (INF,)
         for b in nodes:
             if eval_op(op, b, total) > b + _SCALAR_SLACK:
                 return CheckResult("measure_contraction", False, (b, total))
@@ -914,10 +905,7 @@ def _verify_single(inst: TheoremInstance, tol, skip_hypotheses: bool) -> Inequal
         rhs = _pinv(p2, r2.value)
         results = (r1, r2)
     elif tid == "lyapunov":
-        r = inst.exponent("r")
-        s = inst.exponent("s")
-        if not (r > 0.0 and s > 0.0):
-            raise InputError("moment orders must be positive")
+        r, s = _lyapunov_exponents(dict(inst.exponents))
         r_s = _integral(inst, f, s)
         r_r = _integral(inst, f, r)
         lhs = _pow(r_s.value, 1.0 / s)
@@ -983,7 +971,7 @@ def _verify_nary(inst: TheoremInstance, tol, skip_hypotheses: bool) -> Inequalit
         if tid in TWO_FUNCTION_IDS:
             xi, om = _two_function_exponents(tid, dict(inst.exponents))
         else:
-            xi, om = _nary_exponents(inst, n)
+            xi, om = _nary_exponents(dict(inst.exponents), n)
         combined = _combine_nary(H, inst.functions)
         r_lhs = _integral(inst, combined, xi[0])
         lhs = _pow(r_lhs.value, om[0])

@@ -39,7 +39,7 @@ from .ops import (
     min_op,
     prod_op,
 )
-from .functions import FiniteFunction, MonotoneTransform, apply_transform, is_identity, sup_value
+from .functions import sup_value
 from .measures import Measure, SurvivalProfile, essinf, survival
 
 DEFAULT_TOL = 1e-12
@@ -65,26 +65,10 @@ class IntegralResult:
     def __float__(self) -> float:
         return self.value
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "tol": self.tol,
-            "candidates": self.candidates,
-            "exact": self.exact,
-        }
-
 
 def _require(op: BinaryOp, flag: str) -> None:
     if flag not in op.declared_flags:
         raise InputError(f"operation {op.label()!r} does not declare {flag!r}")
-
-
-def _profile_for(m: Measure, f, transform: MonotoneTransform | None) -> SurvivalProfile:
-    if transform is not None and not is_identity(transform):
-        if isinstance(f, FiniteFunction):
-            return survival(m, apply_transform(transform, f))
-        return survival(m, f).compose(transform)
-    return survival(m, f)
 
 
 def _optimize(
@@ -157,18 +141,16 @@ def _optimize(
     return best, evals, False
 
 
-def universal_integral(
-    op: BinaryOp,
-    m: Measure,
-    f,
-    tol: float = DEFAULT_TOL,
-    transform: MonotoneTransform | None = None,
-) -> IntegralResult:
+def universal_integral(op: BinaryOp, m: Measure, f, tol: float = DEFAULT_TOL) -> IntegralResult:
     """sup over t of t (op) m({f >= t}) for a nondecreasing op with zero
-    annihilator.  transform, when given, integrates transform(f)."""
+    annihilator.
+
+    To integrate a transform T of f, pass ``apply_transform(T, f)``; on
+    the interval a ``TransformedFunction`` profile is composed from f's.
+    """
     _require(op, FLAG_NONDECREASING)
     _require(op, FLAG_ANNIHILATOR)
-    profile = _profile_for(m, f, transform)
+    profile = survival(m, f)
     value, evals, exact = _optimize(op, profile, tol, minimize=False)
     return IntegralResult(value, 0.0 if exact else tol, evals, exact)
 
@@ -193,7 +175,7 @@ def smallest_e_integral(m: Measure, f, e: float, tol: float = DEFAULT_TOL) -> In
         raise InputError("neutral level e must be positive")
     profile = survival(m, f)
     level = profile.weak(e)
-    ess = essinf(m, f, tol=max(tol, 1e-15))
+    ess = essinf(m, f)
     value = max(level, ess)
     exact = profile.exact
     return IntegralResult(value, 0.0 if exact else tol, 2, exact)

@@ -9,9 +9,11 @@ The survival profile of a pair (m, f) packages the two level functions
 
     weak(t)   = m({f >= t})        strict(t) = m({f > t})
 
-together with the candidate thresholds where they can jump.  Both
-level functions are evaluated exactly: finite carriers by bitmask lookup,
-the continuous family by closed-form level-set lengths.
+together with the candidate thresholds where they can jump, and the
+minimum of f (``full_sup``).  Both level functions are evaluated
+exactly: finite carriers by bitmask lookup, the continuous family by
+closed-form level-set lengths.  The essential infimum reads off the
+candidates or ``full_sup``, so it is exact too and needs no tolerance.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ class SurvivalProfile:
     # sup{t : {f >= t} is the whole carrier}; the minimum of f.  Exact by
     # construction, which matters because the level measure can round to
     # the total long before the level set is actually full.
-    full_sup: float | None = None
+    full_sup: float
 
     def compose(self, transform: MonotoneTransform) -> "SurvivalProfile":
         """Profile of transform(f) from the profile of f.
@@ -202,7 +204,7 @@ class SurvivalProfile:
             t_max=new_t_max,
             total=self.total,
             exact=self.exact,
-            full_sup=None if self.full_sup is None else transform.apply(self.full_sup),
+            full_sup=transform.apply(self.full_sup),
         )
 
 
@@ -234,6 +236,7 @@ def _finite_profile(m: FiniteMonotoneMeasure, f: FiniteFunction) -> SurvivalProf
         t_max=max(values),
         total=m.total,
         exact=True,
+        full_sup=min(values),
     )
 
 
@@ -355,7 +358,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
             t_max,
             total,
             base.exact,
-            full_sup=None if base.full_sup is None else min(base.full_sup, c),
+            full_sup=min(base.full_sup, c),
         )
 
     if isinstance(f, FlooredFunction):
@@ -377,7 +380,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
             t_max,
             total,
             base.exact,
-            full_sup=None if base.full_sup is None else max(base.full_sup, c),
+            full_sup=max(base.full_sup, c),
         )
 
     if isinstance(f, LatticeCombo):
@@ -395,8 +398,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
             cands |= {v for v in p.candidates if v <= t_max}
         cands |= {t_max}
         cands = tuple(sorted(cands))
-        sups = [p.full_sup for p in parts]
-        full_sup = None if any(s is None for s in sups) else pick(sups)
+        full_sup = pick(p.full_sup for p in parts)
         return SurvivalProfile(weak, strict, cands, t_max, total, False, full_sup=full_sup)
 
     raise InputError(f"no level-set rule for {type(f).__name__}")
@@ -415,41 +417,20 @@ def survival(m: Measure, f) -> SurvivalProfile:
     raise InputError(f"unknown measure type {type(m).__name__}")
 
 
-def essinf(m: Measure, f, tol: float = 1e-12) -> float:
-    """Essential infimum sup{t : m({f >= t}) = m(X)}.
+def essinf(m: Measure, f) -> float:
+    """Essential infimum sup{t : m({f >= t}) = m(X)}, exact on both carriers.
 
-    Finite carriers are exact; the continuous carrier brackets between
-    candidates and bisects to tol.
+    Exact profiles (every finite one) read it off the candidates, where
+    elements of measure zero are skipped.  Otherwise it is the profile's
+    full_sup, the minimum of f: distortions are strictly increasing, so
+    the level set is full exactly up to min f, while the level measure can
+    round to m(X) well above it.
     """
     prof = survival(m, f)
-    total = prof.total
-    if isinstance(m, FiniteMonotoneMeasure) or prof.exact:
+    if prof.exact:
         best = 0.0
         for c in prof.candidates:
-            if prof.weak(c) == total:
+            if prof.weak(c) == prof.total:
                 best = max(best, c)
         return best
-    if prof.full_sup is not None:
-        # Distortions are strictly increasing, so the level set is full
-        # exactly up to min f.  Bisection on weak(t) == total is unreliable
-        # here: the level length can round to 1.0 well above min f.
-        return min(prof.full_sup, prof.t_max)
-    lo = 0.0
-    hi = None
-    for c in prof.candidates:
-        if c > 0.0 and prof.weak(c) == total:
-            lo = max(lo, c)
-    for c in prof.candidates + (prof.t_max,):
-        if c > lo and prof.weak(c) < total:
-            hi = c
-            break
-    if hi is None:
-        return prof.t_max if prof.weak(prof.t_max) == total else lo
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if prof.weak(mid) == total:
-            a = mid
-        else:
-            b = mid
-    return a
+    return min(prof.full_sup, prof.t_max)

@@ -39,8 +39,6 @@ import numpy as np
 
 INF = math.inf
 
-ExtValue = float
-
 
 class InputError(ValueError):
     """Raised for inputs outside the documented domain of an operation."""
@@ -645,9 +643,6 @@ class PropertyReport:
                 return c
         raise KeyError(name)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks)
-
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
@@ -842,19 +837,13 @@ def check_domination(
     return PropertyReport(checks=(CheckResult("domination", True),), grid=grid.describe())
 
 
-def _phi_eval(phi, x: float) -> float:
-    if callable(phi):
-        return float(phi(x))
-    return float(phi.apply(x))
-
-
 def check_distributivity(
     phi, star: BinaryOp, mode: str = "sub", grid: GridSpec | None = None
 ) -> PropertyReport:
     """Grid check of phi(x star y) against phi(x) star phi(y).
 
     mode 'sub' demands phi(x star y) <= phi(x) star phi(y); 'super' the
-    reverse.  phi may be a callable or a transform with .apply.
+    reverse.  phi is any callable of one float; transforms are callable.
     """
     if mode not in ("sub", "super"):
         raise InputError("mode must be 'sub' or 'super'")
@@ -864,8 +853,8 @@ def check_distributivity(
     name = f"{mode}distributive"
     for x in nodes:
         for y in nodes:
-            lhs = _phi_eval(phi, eval_op(star, x, y))
-            rhs = eval_op(star, min(_phi_eval(phi, x), star.cap), min(_phi_eval(phi, y), star.cap))
+            lhs = float(phi(eval_op(star, x, y)))
+            rhs = eval_op(star, min(float(phi(x)), star.cap), min(float(phi(y)), star.cap))
             bad = lhs > rhs + 1e-12 if mode == "sub" else lhs < rhs - 1e-12
             if bad:
                 return PropertyReport(

@@ -4,6 +4,10 @@ Numbers are emitted with 17 significant digits so binary64 values
 round-trip exactly; infinity is the string "inf".  Keys are sorted and
 output carries no timestamps, which makes reports byte-identical across
 runs and lets a sha256 digest identify an instance.
+
+The readers (``*_from_json``) take documents from outside the program,
+so every failure they meet is an :class:`InputError`: a missing field,
+a field of the wrong type, a NaN where a number belongs.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 
 from .ops import (
     INF,
@@ -105,10 +110,26 @@ def digest(obj) -> str:
     return hashlib.sha256(dumps_17g(obj).encode("ascii")).hexdigest()[:16]
 
 
+@contextmanager
+def reading(what: str):
+    """Turn a missing or mistyped field of a ``what`` document into an InputError.
+
+    Usable as a ``with`` block or as a decorator of a reader.
+    """
+    try:
+        yield
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise InputError(f"{what} needs field {exc.args[0]!r}") from exc
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
+
+
 def _num(x) -> float:
     if x == "inf":
         return INF
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and not math.isnan(x):
         return float(x)
     raise InputError(f"expected a number or \"inf\", got {x!r}")
 
@@ -148,6 +169,7 @@ def op_to_json(op: BinaryOp) -> dict:
     return d
 
 
+@reading("op document")
 def op_from_json(d: dict) -> BinaryOp:
     kind = d.get("kind")
     if kind == KIND_CUSTOM:
@@ -183,6 +205,7 @@ def transform_to_json(t: MonotoneTransform) -> dict:
     return {"kind": "compose", "parts": [transform_to_json(p) for p in t.parts]}
 
 
+@reading("transform document")
 def transform_from_json(d: dict) -> MonotoneTransform:
     kind = d.get("kind")
     if kind == "identity":
@@ -213,6 +236,7 @@ def measure_to_json(m) -> dict:
     raise InputError(f"cannot serialize measure {type(m).__name__}")
 
 
+@reading("measure document")
 def measure_from_json(d: dict):
     t = d.get("type")
     if t == "finite":
@@ -260,6 +284,7 @@ def function_to_json(f) -> dict:
     raise InputError(f"cannot serialize function {type(f).__name__}")
 
 
+@reading("function document")
 def function_from_json(d: dict):
     t = d.get("type")
     if t == "finite":
@@ -300,6 +325,7 @@ def nary_to_json(H: NaryOp) -> dict:
     return d
 
 
+@reading("aggregation document")
 def nary_from_json(d: dict) -> NaryOp:
     kind = d.get("kind")
     arity = int(d.get("arity", 2))
@@ -346,9 +372,8 @@ def instance_to_json(inst: TheoremInstance) -> dict:
     return d
 
 
+@reading("instance document")
 def instance_from_json(d: dict) -> TheoremInstance:
-    if "theorem" not in d:
-        raise InputError("instance document needs a theorem id")
     return TheoremInstance.make(
         d["theorem"],
         op_from_json(d["op"]),

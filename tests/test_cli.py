@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -129,6 +130,40 @@ def test_verify_rejects_theorem_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--theorem", "holder", "--instance", path)
     assert code == 2
     assert "does not match" in json.loads(err)["error"]
+
+
+# an interval chebyshev instance whose first function has a NaN parameter
+NAN_INSTANCE = {
+    "theorem": "chebyshev",
+    "op": {"kind": "min", "cap": "inf"},
+    "star": {"kind": "min", "cap": "inf"},
+    "measure": LEB_SQRT["measure"],
+    "functions": [
+        {"type": "transformed", "base": {"type": "power", "p": 1},
+         "transform": {"kind": "affine", "a": 1, "b": math.nan}},
+        {"type": "power", "p": 2},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (("verify", "--theorem", "chebyshev"),
+         {k: v for k, v in NAN_INSTANCE.items() if k != "op"}),
+        (("integrate", "--integral", "sugeno"), {"measure": LEB_SQRT["measure"], "functions": []}),
+        (("verify", "--theorem", "chebyshev"), NAN_INSTANCE),
+    ],
+    ids=["verify-without-op", "integrate-without-functions", "verify-nan-parameter"],
+)
+def test_bad_instance_document_exits_two(tmp_path, capsys, argv, doc):
+    path = tmp_path / "inst.json"
+    # json.dumps spells nan as NaN, which JSON readers accept
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert set(json.loads(err)) == {"error"}
 
 
 # ---------------------------------------------------------------------------

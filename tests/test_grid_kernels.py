@@ -558,6 +558,23 @@ def test_single_condition_matches_loop(tid, op, phi, exps, hi_d, hi_m):
     same(ref_single, ineq._single_condition, tid, op, phi, exps, grid(hi_d, 21), grid(hi_m, 21))
 
 
+@pytest.mark.parametrize(
+    "r, s, expected",
+    [
+        # (4 c)**1000 overflows for large c, but a node fails before it
+        (1.0, 0.001, "CheckResult(name='scalar_condition', passed=False, witness=(0.05, 0.2)"),
+        # lhs == rhs everywhere, so the loop reaches the overflow
+        (0.001, 0.001, "OverflowError: "),
+    ],
+    ids=["node-fails-first", "overflow-first"],
+)
+def test_single_condition_replays_grid_power_errors(r, s, expected):
+    # the grid power raises on some values, so GridEval.map falls back to
+    # one call per value and flags the ones that raised
+    args = ("lyapunov", prod_op(), (), (r, s), grid(1.0, 21), grid(4.0, 21))
+    assert same(ref_single, ineq._single_condition, *args).startswith(expected)
+
+
 @st.composite
 def nary_case(draw):
     arity = draw(st.sampled_from((2, 3)))

@@ -152,6 +152,12 @@ def test_negative_seed_is_rejected():
         ({"op_pool": ["min"]}, "malformed"),
         ({"exponent_ranges": [1, 2]}, "malformed"),
         ({"exponent_ranges": {"xi1": [0.3]}}, "malformed"),
+        ({"seed": 1.9}, "malformed campaign config: seed must be an integer, got 1.9"),
+        ({"trials": True}, "trials must be an integer"),
+        ({"n_range": [2.0, 5]}, "n_range entry must be an integer"),
+        ({"respect_hypotheses": "false"}, "respect_hypotheses must be true or false"),
+        ({"normalize_measure": 0}, "normalize_measure must be true or false"),
+        ({"shrink": "no"}, "shrink must be true or false"),
     ],
 )
 def test_config_json_with_mistyped_fields_is_an_input_error(patch, needle):

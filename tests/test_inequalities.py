@@ -288,6 +288,20 @@ def test_condition_respects_data_box():
     assert rep.passed
 
 
+@pytest.mark.parametrize(
+    "tid, kw, needle",
+    [
+        ("thm32", {"H": h_min(2), "exponents": {"xi": (1.0, 1.0)}}, "one xi and omega"),
+        ("thm42_h", {"H": h_min(2), "exponents": {"omega": 2.0}}, "must be sequences"),
+        ("thm32", {"H": h_min(2), "exponents": {"xi": (1.0, -1.0, 1.0)}}, "positive"),
+        ("lyapunov", {"exponents": {"r": 0.0, "s": 1.0}}, "moment orders"),
+    ],
+)
+def test_condition_exponents_are_validated_as_verify_does(tid, kw, needle):
+    with pytest.raises(InputError, match=needle):
+        check_scalar_condition(tid, min_op(1.0), **kw)
+
+
 def test_condition_results_are_cached_across_verifies():
     # two instances in the same snapped data box share one grid sweep
     m1 = counting_measure(3, normalized=True)

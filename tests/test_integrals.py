@@ -15,6 +15,7 @@ from fuzzyint import (
     InputError,
     PowerFunction,
     PwlFunction,
+    TransformedFunction,
     counting_measure,
     eval_at,
     eval_op,
@@ -280,5 +281,7 @@ def test_reverse_integral_requires_zero_neutral():
 def test_transform_argument_integrates_composite():
     leb = DistortedLebesgue(identity())
     direct = float(sugeno(leb, PowerFunction(2.0)))
-    composed = float(universal_integral(min_op(), leb, PowerFunction(1.0), transform=power(2.0)))
+    # the profile of transform(f) is composed from the profile of f
+    f = TransformedFunction(PowerFunction(1.0), power(2.0))
+    composed = float(universal_integral(min_op(), leb, f))
     assert composed == pytest.approx(direct, abs=1e-9)

@@ -208,6 +208,7 @@ def test_profile_knows_exact_minimum():
     ]
     for f, want in cases:
         assert survival(leb, f).full_sup == pytest.approx(want, abs=0.0)
+    assert survival(counting_measure(3), FiniteFunction((0.4, 0.2, 0.9))).full_sup == 0.2
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,38 @@ def test_instance_round_trip_preserves_digest_and_verdict(inst):
     assert v1.margin == v2.margin
 
 
+@pytest.mark.parametrize(
+    "reader, doc, needle",
+    [
+        (instance_from_json, {"theorem": "chebyshev", "measure": {}, "functions": []},
+         "instance document needs field 'op'"),
+        (function_from_json, {"type": "const"}, "function document needs field 'c'"),
+        (measure_from_json, {"type": "finite", "n": 1, "table": {"0": 0}},
+         "measure document needs field '1'"),
+        (op_from_json, {"kind": "custom", "nodes": 1, "neutral": 1},
+         "malformed op document: 'int' object is not iterable"),
+        (nary_from_json, ["min"], "malformed aggregation document"),
+        (transform_from_json, {"kind": "compose", "parts": [5]}, "malformed transform document"),
+    ],
+)
+def test_readers_report_missing_and_mistyped_fields_as_input_errors(reader, doc, needle):
+    with pytest.raises(InputError, match=needle):
+        reader(doc)
+
+
+@pytest.mark.parametrize(
+    "reader, doc",
+    [
+        (transform_from_json, {"kind": "affine", "a": 1, "b": math.nan}),
+        (function_from_json, {"type": "capped", "base": {"type": "power", "p": 1}, "c": math.nan}),
+        (op_from_json, {"kind": "smallest", "neutral": math.nan}),
+    ],
+)
+def test_readers_reject_nan_numbers(reader, doc):
+    with pytest.raises(InputError, match="expected a number"):
+        reader(doc)
+
+
 def test_instance_json_is_self_contained():
     inst = build_instances()[0]
     blob = dumps_17g(instance_to_json(inst))
