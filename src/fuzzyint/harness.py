@@ -9,6 +9,7 @@ line-delimited JSON with no timestamps: same config, same bytes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -102,6 +103,10 @@ class CampaignConfig:
             len(self.n_range) == 2 and 1 <= self.n_range[0] <= self.n_range[1] <= MAX_GROUND_SET
         ):
             raise InputError(f"n_range must be [lo, hi] with 1 <= lo <= hi <= {MAX_GROUND_SET}")
+        if not self.distortion_p_range[0] > 0.0:
+            raise InputError("distortion_p_range needs a positive lower bound")
+        if self.scale not in ("unit", "extended"):
+            raise InputError("scale must be 'unit' or 'extended'")
 
     def exponent_range(self, name: str):
         for k, rng in self.exponent_ranges:
@@ -140,7 +145,9 @@ class CampaignConfig:
             carrier=d.get("carrier", "finite"),
             n_range=tuple(_json_int(x, "n_range entry") for x in d.get("n_range", (2, 8))),
             measure_family=d.get("measure_family", "random_table"),
-            distortion_p_range=tuple(float(x) for x in d.get("distortion_p_range", (0.5, 2.0))),
+            distortion_p_range=_json_range(
+                d.get("distortion_p_range", (0.5, 2.0)), "distortion_p_range"
+            ),
             op_pool=tuple(op_from_json(o) for o in d.get("op_pool", ())) or (min_op(),),
             star_pool=tuple(op_from_json(o) for o in d.get("star_pool", ())),
             H_pool=tuple(nary_from_json(h) for h in d.get("H_pool", ())),
@@ -148,7 +155,7 @@ class CampaignConfig:
                 tuple(transform_from_json(t) for t in ts) for ts in d.get("phi_pool", ())
             ),
             exponent_ranges=tuple(
-                (k, (float(v[0]), float(v[1])))
+                (k, _json_range(v, f"exponent range {k}"))
                 for k, v in sorted(d.get("exponent_ranges", {}).items())
             ),
             respect_hypotheses=_json_bool(d.get("respect_hypotheses", True), "respect_hypotheses"),
@@ -163,6 +170,19 @@ def _json_int(v, name: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise TypeError(f"{name} must be an integer, got {v!r}")
     return v
+
+
+def _json_range(v, name: str) -> tuple[float, float]:
+    # two finite JSON numbers; a JSON bool parses to a Python bool, which is
+    # an int, and abs() bounds ints beyond the float range without overflow
+    if not (
+        isinstance(v, (list, tuple))
+        and len(v) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+        and all(abs(x) <= sys.float_info.max for x in v)
+    ):
+        raise TypeError(f"{name} must be two finite numbers, got {v!r}")
+    return float(v[0]), float(v[1])
 
 
 def _json_bool(v, name: str) -> bool:

@@ -1,30 +1,41 @@
 """Verification of integral inequality families.
 
-Each family compares one integral expression against another built from
-the same data (two-function products, single-function transforms, n-ary
-aggregations and their order-reversed counterparts).  The two-function
-families are the n-ary ones at arity 2 with H = ⋆: their ids run through
-the same evaluator and the same scalar condition, with H the pointwise
-operation (kind ``binary``) and the family's exponents as the vectors
-(xi0, xi1, xi2), (omega0, omega1, omega2).  A verdict records
-both sides, the signed margin, whether the inequality holds at the
-instance tolerance, and a hypothesis report: every precondition of the
-family is grid-checked and the verdict is flagged when any fails, but
-both sides are always evaluated so hypothesis-violating regimes can be
-studied deliberately.
+Every family compares two integral expressions built from the same data,
+and each is written once, as sides.  A side is ``outer(∫ inner(f))``: a
+transform of the integrand, the instance's integral, and a map of the
+value.  A single-function family (thm33, jensen, rev_jensen, lyapunov,
+rev_transform) has one side on the left and one on the right.  An n-ary
+family of aggregation H has one side for ``∫ H(pre(f))`` on the left,
+and one per function ``f_i`` on the right, which is
+``H(pre_i(outer_i(∫ inner_i f_i)))``.  The transform families thm31 and
+thm41 take their sides from the transforms u and their pre maps from
+psi.  Every other family is a power family: its sides are ``(x ↦ x**xi,
+v ↦ v**omega)`` and its pre maps are the identity.  The two-function
+families are the power families at arity 2 with H = ⋆ (kind
+``binary``): chebyshev has all exponents 1, holder, minkowski and their
+reverses derive xi and omega from p, q, s or k, and star_general and the
+seminormed families read all six.
 
-Scalar sufficient conditions (the per-threshold inequalities coupling
-the aggregation to the integral op) are checked over finite grids and
-cached per parameter set, since campaigns reuse them heavily.  Each grid
-is evaluated as arrays, one broadcast per step of the condition, through
-:class:`~fuzzyint.ops.GridEval`: the witness is the first failing node in
-the order of a loop over the grid, and an out-of-domain evaluation raises
-only where that loop would have reached it.  Every condition clamps the
-arguments of an op, ⋆ included, to that op's cap before evaluating it.
-Powers and transforms on a grid are the scalar functions applied to each
-distinct value, so they are bit for bit the ones the verdicts use.  The
-threshold optimiser and the verdicts themselves keep the scalar
-``eval_op``.
+A verdict evaluates the sides with the scalar integral; the scalar
+sufficient condition of a family (the per-threshold inequality coupling
+the aggregation to the integral op) evaluates the same sides on a finite
+grid, with the integral replaced by ``x ⊙ c`` for a measure value c.  A
+verdict records both sides, the signed margin, whether the inequality
+holds at the instance tolerance, and a hypothesis report: every
+precondition of the family is grid-checked and the verdict is flagged
+when any fails, but both sides are always evaluated so
+hypothesis-violating regimes can be studied deliberately.
+
+Scalar conditions are cached per parameter set, since campaigns reuse
+them heavily.  Each grid is evaluated as arrays, one broadcast per step
+of the condition, through :class:`~fuzzyint.ops.GridEval`: the witness
+is the first failing node in the order of a loop over the grid, and an
+out-of-domain evaluation raises only where that loop would have reached
+it.  Every condition clamps the arguments of an op, ⋆ included, to that
+op's cap before evaluating it.  Powers and transforms on a grid are the
+scalar functions applied to each distinct value, so they are bit for bit
+the ones the verdicts use.  The threshold optimiser and the verdicts
+themselves keep the scalar ``eval_op``.
 """
 
 from __future__ import annotations
@@ -60,10 +71,10 @@ from .ops import (
     xmul_grid,
 )
 from .functions import (
+    IDENTITY,
     FiniteFunction,
     MonotoneTransform,
     apply_transform,
-    identity,
     is_comonotone,
     is_continuous,
     is_identity,
@@ -449,6 +460,72 @@ def _pow(x: float, e: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# sides: outer(∫ inner(f))
+# ---------------------------------------------------------------------------
+
+
+def _outer_pow(e: float):
+    # _pow rather than power(e): an infinite exponent gives e = 0
+    return IDENTITY if e == 1.0 else partial(_pow, e=e)
+
+
+def _single_sides(tid: str, phi: Sequence[MonotoneTransform], exps):
+    """(inner, outer) of the lhs and then of the rhs of a single-function family.
+
+    exps is (r, s) for lyapunov; a missing phi reads as the identity.
+    """
+    if tid in ("jensen", "rev_jensen"):
+        t = phi[0] if phi else IDENTITY
+        sides = ((t, IDENTITY), (IDENTITY, t))
+        return sides if tid == "jensen" else sides[::-1]
+    if tid in ("thm33", "rev_transform"):
+        if len(phi) != 2:
+            raise InputError("transform comparison needs two transforms")
+        return tuple((t, partial(_pinv, t)) for t in phi)
+    r, s = exps
+    return (power(s), _outer_pow(1.0 / s)), (power(r), _outer_pow(1.0 / r))
+
+
+def _nary_sides(tid: str, n: int, u, psi, xi, om):
+    """(inner, outer) of each integral, lhs first, and the maps pre before H.
+
+    lhs = outer_0(∫ inner_0(H(pre(f)))) and rhs = H(pre_i(outer_i(∫ inner_i f_i))).
+    The transform families thm31 and thm41 read u and psi, every other
+    family its exponent vectors xi and omega.
+    """
+    if tid in ("thm31", "thm41"):
+        if len(u) != n + 1 or len(psi) != n:
+            raise InputError("need n+1 outer transforms and n reindexings")
+        return tuple((t, partial(_pinv, t)) for t in u), tuple(psi)
+    return tuple((power(x), _outer_pow(w)) for x, w in zip(xi, om)), (IDENTITY,) * n
+
+
+def _nary_shape(tid: str, star: BinaryOp | None, H: NaryOp | None, ex: Mapping, n: int):
+    """(H, xi, omega) of a two-function or n-ary family of n functions.
+
+    A two-function family aggregates with H = star; xi and omega are
+    empty for thm31 and thm41.
+    """
+    if tid in TWO_FUNCTION_IDS:
+        if n != 2:
+            raise InputError("two-function families need exactly two functions")
+        if star is None:
+            raise InputError("two-function families need a pointwise operation")
+        return (NaryOp("binary", op=star),) + _two_function_exponents(tid, ex)
+    if H is None:
+        raise InputError("n-ary families need an aggregation")
+    if H.arity != n:
+        raise InputError("aggregation arity must match the function count")
+    if tid in ("thm32", "thm42_h"):
+        return (H,) + _nary_exponents(ex, n)
+    return H, (), ()
+
+
+def _tapply(t, v: float) -> float:
+    return v if t is IDENTITY else t(v)
+
+
+# ---------------------------------------------------------------------------
 # scalar condition checks (cached)
 # ---------------------------------------------------------------------------
 
@@ -468,41 +545,34 @@ def _axis(nodes: Sequence[float], axis: int, ndim: int) -> np.ndarray:
     return np.asarray(nodes, dtype=float).reshape(shape)
 
 
-def _pow_grid(g: GridEval, x, e: float):
-    if e == 1.0:
+def _tmap(g: GridEval, t, x):
+    """t over a grid array; the identity leaves x as it is."""
+    if t is IDENTITY:
         return x
-    return g.map(partial(_pow, e=e), x)
+    return g.map(t.kernel if isinstance(t, MonotoneTransform) else t, x)
+
+
+def _grid_side(g: GridEval, op: BinaryOp, x, c, inner, outer):
+    """outer(inner(x) ⊙ c) over the grid: map inner, then op, then map outer."""
+    return _tmap(g, outer, g.op(op, min_grid(_tmap(g, inner, x), op.cap), c))
+
+
+def _fails(lhs, rhs, reverse: bool):
+    if reverse:
+        return lhs > rhs + _SCALAR_SLACK
+    return lhs < rhs - _SCALAR_SLACK
 
 
 @np.errstate(all="ignore")
 def _single_condition(tid: str, op: BinaryOp, phi, exps, dnodes, cnodes) -> CheckResult:
-    if tid not in ("jensen", "rev_jensen", "thm33", "rev_transform", "lyapunov"):
+    if tid not in SINGLE_FUNCTION_IDS:
         raise InputError(f"no scalar condition for {tid}")
+    sides = _single_sides(tid, phi, exps)
     # node (a, c), visited in C order
     a, c = _axis(dnodes, 0, 2), _axis(cnodes, 1, 2)
     g = GridEval()
-
-    def ev(x):
-        return g.op(op, min_grid(x, op.cap), c)
-
-    if tid == "jensen":
-        lhs = ev(g.map(phi[0].apply, a))
-        rhs = g.map(phi[0].apply, ev(a))
-        fail = lhs < rhs - _SCALAR_SLACK
-    elif tid == "rev_jensen":
-        lhs = g.map(phi[0].apply, ev(a))
-        rhs = ev(g.map(phi[0].apply, a))
-        fail = lhs > rhs + _SCALAR_SLACK
-    elif tid in ("thm33", "rev_transform"):
-        lhs = g.map(partial(_pinv, phi[0]), ev(g.map(phi[0].apply, a)))
-        rhs = g.map(partial(_pinv, phi[1]), ev(g.map(phi[1].apply, a)))
-        fail = lhs < rhs - _SCALAR_SLACK if tid == "thm33" else lhs > rhs + _SCALAR_SLACK
-    else:
-        r, s = exps
-        lhs = _pow_grid(g, ev(_pow_grid(g, a, s)), 1.0 / s)
-        rhs = _pow_grid(g, ev(_pow_grid(g, a, r)), 1.0 / r)
-        fail = lhs < rhs - _SCALAR_SLACK
-    hit = g.first(fail)
+    lhs, rhs = (_grid_side(g, op, a, c, inner, outer) for inner, outer in sides)
+    hit = g.first(_fails(lhs, rhs, tid in REVERSE_IDS))
     if hit is None:
         return CheckResult("scalar_condition", True)
     return CheckResult("scalar_condition", False, (dnodes[hit[0]], cnodes[hit[1]]))
@@ -513,38 +583,22 @@ def _nary_condition(
     tid: str, op: BinaryOp, H: NaryOp, u, psi, xi, om, reverse: bool, dnodes, cnodes
 ) -> CheckResult:
     n = H.arity
+    sides, pre = _nary_sides(tid, n, u, psi, xi, om)
     # node (args..., c), visited in C order
     args = [_axis(dnodes, i, n + 1) for i in range(n)]
     c = _axis(cnodes, n, n + 1)
-    transformed = tid in ("thm31", "thm41")
     g = GridEval()
-
-    def ev(x):
-        return g.op(op, min_grid(x, op.cap), c)
-
-    base = [g.map(psi[i].apply, args[i]) for i in range(n)] if transformed else args
-    hval = H.eval_grid(g, base)
-    if transformed:
-        lhs = g.map(partial(_pinv, u[0]), ev(g.map(u[0].apply, hval)))
-    else:
-        lhs = _pow_grid(g, ev(_pow_grid(g, hval, xi[0])), om[0])
+    base = [_tmap(g, t, x) for t, x in zip(pre, args)]
+    lhs = _grid_side(g, op, H.eval_grid(g, base), c, *sides[0])
     best = None
     for i in range(n):
-        if transformed:
-            inner = g.map(partial(_pinv, u[i + 1]), ev(g.map(u[i + 1].apply, args[i])))
-            repl = g.map(psi[i].apply, inner)
-        else:
-            repl = _pow_grid(g, ev(_pow_grid(g, args[i], xi[i + 1])), om[i + 1])
+        repl = _tmap(g, pre[i], _grid_side(g, op, args[i], c, *sides[i + 1]))
         side = H.eval_grid(g, base[:i] + [repl] + base[i + 1 :])
         if best is None:
             best = side
         else:
             best = min_grid(best, side) if reverse else max_grid(best, side)
-    if reverse:
-        fail = lhs > best + _SCALAR_SLACK
-    else:
-        fail = lhs < best - _SCALAR_SLACK
-    hit = g.first(fail)
+    hit = g.first(_fails(lhs, best, reverse))
     if hit is None:
         return CheckResult("scalar_condition", True)
     return CheckResult(
@@ -590,16 +644,8 @@ def check_scalar_condition(
         exps = _lyapunov_exponents(ex) if condition_id == "lyapunov" else None
         check = _single_condition(condition_id, op, tuple(phi), exps, dnodes, cnodes)
     elif condition_id in TWO_FUNCTION_IDS or condition_id in NARY_IDS:
-        xi = om = ()
-        if condition_id in TWO_FUNCTION_IDS:
-            if star is None:
-                raise InputError("two-function condition needs a pointwise operation")
-            H = NaryOp("binary", op=star)
-            xi, om = _two_function_exponents(condition_id, ex)
-        elif H is None:
-            raise InputError("n-ary condition needs an aggregation")
-        elif condition_id in ("thm32", "thm42_h"):
-            xi, om = _nary_exponents(ex, H.arity)
+        arity = 2 if condition_id in TWO_FUNCTION_IDS or H is None else H.arity
+        H, xi, om = _nary_shape(condition_id, star, H, ex, arity)
         per_axis = max(5, int(round(30000 ** (1.0 / (H.arity + 1)))))
         n = min(per_axis, 13) if grid_n is None else grid_n
         dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
@@ -639,9 +685,10 @@ _PPROD = prod_op()
 _PSUM = sum_op()
 
 
-def _integral(inst: TheoremInstance, f, exponent: float = 1.0) -> IntegralResult:
-    if exponent != 1.0:
-        f = apply_transform(power(exponent), f)
+def _integral(inst: TheoremInstance, t: MonotoneTransform, f) -> IntegralResult:
+    """The instance's integral of t(f)."""
+    if t is not IDENTITY:
+        f = apply_transform(t, f)
     if inst.theorem_id in REVERSE_IDS:
         return semiconormed_integral(inst.op, inst.measure, f)
     if inst.op.cap == 1.0:
@@ -880,39 +927,11 @@ def _scalar_check(inst: TheoremInstance) -> CheckResult:
 def _verify_single(inst: TheoremInstance, tol, skip_hypotheses: bool) -> InequalityVerdict:
     if len(inst.functions) != 1:
         raise InputError("single-function families need exactly one function")
-    f = inst.functions[0]
     tid = inst.theorem_id
-
-    if tid == "jensen":
-        phi = inst.phi[0] if inst.phi else identity()
-        r_in = _integral(inst, apply_transform(phi, f))
-        r_base = _integral(inst, f)
-        lhs, rhs = r_in.value, phi.apply(r_base.value)
-        results = (r_in, r_base)
-    elif tid == "rev_jensen":
-        phi = inst.phi[0] if inst.phi else identity()
-        r_base = _integral(inst, f)
-        r_in = _integral(inst, apply_transform(phi, f))
-        lhs, rhs = phi.apply(r_base.value), r_in.value
-        results = (r_base, r_in)
-    elif tid in ("thm33", "rev_transform"):
-        if len(inst.phi) != 2:
-            raise InputError("transform comparison needs two transforms")
-        p1, p2 = inst.phi
-        r1 = _integral(inst, apply_transform(p1, f))
-        r2 = _integral(inst, apply_transform(p2, f))
-        lhs = _pinv(p1, r1.value)
-        rhs = _pinv(p2, r2.value)
-        results = (r1, r2)
-    elif tid == "lyapunov":
-        r, s = _lyapunov_exponents(dict(inst.exponents))
-        r_s = _integral(inst, f, s)
-        r_r = _integral(inst, f, r)
-        lhs = _pow(r_s.value, 1.0 / s)
-        rhs = _pow(r_r.value, 1.0 / r)
-        results = (r_s, r_r)
-    else:
-        raise InputError(f"{tid} is not a single-function family")
+    exps = _lyapunov_exponents(dict(inst.exponents)) if tid == "lyapunov" else None
+    sides = _single_sides(tid, inst.phi, exps)
+    results = tuple(_integral(inst, inner, inst.functions[0]) for inner, _ in sides)
+    lhs, rhs = (_tapply(outer, r.value) for (_, outer), r in zip(sides, results))
 
     checks: list[CheckResult] = []
     if not skip_hypotheses:
@@ -938,50 +957,18 @@ def _verify_nary(inst: TheoremInstance, tol, skip_hypotheses: bool) -> Inequalit
     """Two-function and n-ary families; the former with H = star."""
     tid = inst.theorem_id
     n = len(inst.functions)
-    if tid in TWO_FUNCTION_IDS:
-        if n != 2:
-            raise InputError("two-function families need exactly two functions")
-        if inst.star is None:
-            raise InputError("two-function families need a pointwise operation")
-        H = NaryOp("binary", op=inst.star)
-    else:
-        H = inst.H
-        if H is None:
-            raise InputError("n-ary families need an aggregation")
-        if H.arity != n:
-            raise InputError("aggregation arity must match the function count")
-
-    if tid in ("thm31", "thm41"):
-        if len(inst.u) != n + 1 or len(inst.psi) != n:
-            raise InputError("need n+1 outer transforms and n reindexings")
-        inners = tuple(
-            apply_transform(inst.psi[i], inst.functions[i]) for i in range(n)
-        )
-        combined = _combine_nary(H, inners)
-        r_lhs = _integral(inst, apply_transform(inst.u[0], combined))
-        lhs = _pinv(inst.u[0], r_lhs.value)
-        parts = []
-        results = [r_lhs]
-        for i in range(n):
-            r_i = _integral(inst, apply_transform(inst.u[i + 1], inst.functions[i]))
-            results.append(r_i)
-            parts.append(inst.psi[i].apply(_pinv(inst.u[i + 1], r_i.value)))
-        rhs = H(tuple(parts))
-    else:
-        if tid in TWO_FUNCTION_IDS:
-            xi, om = _two_function_exponents(tid, dict(inst.exponents))
-        else:
-            xi, om = _nary_exponents(dict(inst.exponents), n)
-        combined = _combine_nary(H, inst.functions)
-        r_lhs = _integral(inst, combined, xi[0])
-        lhs = _pow(r_lhs.value, om[0])
-        parts = []
-        results = [r_lhs]
-        for i in range(n):
-            r_i = _integral(inst, inst.functions[i], xi[i + 1])
-            results.append(r_i)
-            parts.append(_pow(r_i.value, om[i + 1]))
-        rhs = H(tuple(parts))
+    H, xi, om = _nary_shape(tid, inst.star, inst.H, dict(inst.exponents), n)
+    sides, pre = _nary_sides(tid, n, inst.u, inst.psi, xi, om)
+    combined = _combine_nary(H, tuple(map(apply_transform, pre, inst.functions)))
+    r_lhs = _integral(inst, sides[0][0], combined)
+    lhs = _tapply(sides[0][1], r_lhs.value)
+    parts = []
+    results = [r_lhs]
+    for t, f, (inner, outer) in zip(pre, inst.functions, sides[1:]):
+        r_i = _integral(inst, inner, f)
+        results.append(r_i)
+        parts.append(_tapply(t, _tapply(outer, r_i.value)))
+    rhs = H(tuple(parts))
 
     checks: list[CheckResult] = []
     if not skip_hypotheses:

@@ -125,6 +125,19 @@ def test_verify_exit_one_when_inequality_fails(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_jensen_without_phi_gives_a_verdict(tmp_path, capsys):
+    # a missing phi reads as the identity, in the verdict and in its condition
+    inst = TheoremInstance.make(
+        "jensen", min_op(1.0), counting_measure(3, normalized=True),
+        [FiniteFunction((0.2, 0.5, 0.8))],
+    )
+    path = write(tmp_path, "inst.json", instance_to_json(inst))
+    code, out, err = run_cli(capsys, "verify", "--theorem", "jensen", "--instance", path)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["holds"] is True and doc["hypotheses_met"] is True
+
+
 def test_verify_rejects_theorem_mismatch(tmp_path, capsys):
     path = write(tmp_path, "inst.json", instance_to_json(holding_instance()))
     code, _, err = run_cli(capsys, "verify", "--theorem", "holder", "--instance", path)
@@ -244,6 +257,36 @@ def test_falsify_config_without_seed_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "falsify", "--theorem", "star_general", "--config", path)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "campaign config needs field 'seed'"}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"scale": "huge"},
+        {"distortion_p_range": [0.5, 1, 2]},
+        {"distortion_p_range": ["0.5", 0.8]},
+        {"distortion_p_range": [True, 2]},
+        {"distortion_p_range": [0, 1]},
+        {"exponent_ranges": {"xi1": [0.3, "inf"]}},
+        {"exponent_ranges": {"xi1": [0.3, "OVERFLOW"]}},
+        {"exponent_ranges": {"xi1": [math.nan, 0.8]}},
+        {"exponent_ranges": {"xi1": 0.5}},
+    ],
+    ids=["scale-huge", "p-range-three-numbers", "p-range-string", "p-range-bool",
+         "p-range-zero", "exponent-range-inf-string", "exponent-range-1e400",
+         "exponent-range-nan", "exponent-range-scalar"],
+)
+def test_falsify_bad_scale_or_range_exits_two_before_any_output(tmp_path, capsys, patch):
+    # an interval campaign on distorted measures, which draws from both ranges
+    doc = dict(falsify_config_doc(), carrier="lebesgue_power", measure_family="distorted")
+    doc.update(patch)
+    path = tmp_path / "config.json"
+    # json.dumps spells nan as NaN, which JSON readers accept; 1e400 reads as inf
+    path.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e400"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "falsify", "--theorem", "star_general", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert set(json.loads(err)) == {"error"}
 
 
 # ---------------------------------------------------------------------------

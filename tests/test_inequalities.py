@@ -302,6 +302,31 @@ def test_condition_exponents_are_validated_as_verify_does(tid, kw, needle):
         check_scalar_condition(tid, min_op(1.0), **kw)
 
 
+@pytest.mark.parametrize("tid", ["jensen", "rev_jensen"])
+def test_condition_reads_a_missing_phi_as_the_identity_as_verify_does(tid):
+    op = min_op(1.0) if tid == "jensen" else max_op(1.0)
+    rep = check_scalar_condition(tid, op)
+    assert rep.passed
+    v = verify(make(tid, op, counting_measure(3, normalized=True), [FiniteFunction((0.2, 0.5, 0.8))]))
+    assert v.holds and v.hypotheses_met and v.margin == 0.0
+
+
+@pytest.mark.parametrize(
+    "tid, kw, needle",
+    [
+        ("thm31", {"H": h_min(2)}, "need n\\+1 outer transforms and n reindexings"),
+        ("thm41", {"H": h_min(2), "u": (identity(),) * 3}, "need n\\+1 outer transforms"),
+        ("thm33", {"phi": (power(2.0),)}, "transform comparison needs two transforms"),
+        ("rev_transform", {}, "transform comparison needs two transforms"),
+        ("chebyshev", {}, "two-function families need a pointwise operation"),
+        ("thm32", {}, "n-ary families need an aggregation"),
+    ],
+)
+def test_condition_checks_its_inputs_as_verify_does(tid, kw, needle):
+    with pytest.raises(InputError, match=needle):
+        check_scalar_condition(tid, min_op(1.0), **kw)
+
+
 def test_condition_results_are_cached_across_verifies():
     # two instances in the same snapped data box share one grid sweep
     m1 = counting_measure(3, normalized=True)
