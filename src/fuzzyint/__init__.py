@@ -62,7 +62,6 @@ from .measures import (
     counting_measure,
     essinf,
     survival,
-    validate_measure,
 )
 from .integrals import (
     IntegralResult,

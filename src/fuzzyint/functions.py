@@ -8,11 +8,11 @@ The family is closed under exactly the pointwise combinations the
 integral layer needs; anything else raises :class:`UnsupportedError`
 instead of silently approximating.
 
-Monotone transforms are strictly increasing maps of [0, inf) built from
-powers, positive-slope affine maps and compositions, all with closed-form
-inverses.  Like ops, a transform builds its scalar evaluator
-(``kernel``) once, at construction; :meth:`MonotoneTransform.apply`
-calls through it.
+Monotone transforms are strictly increasing maps of [0, inf) into
+itself, built from powers, affine maps a*x + b with a > 0 and b >= 0,
+and compositions, all with closed-form inverses.  Like ops, a transform
+builds its scalar evaluator (``kernel``) once, at construction;
+:meth:`MonotoneTransform.apply` calls through it.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ class MonotoneTransform:
     kernel: Callable[[float], float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.kind == T_POWER and not self.p > 0.0:
-            raise InputError("power transform needs p > 0")
-        if self.kind == T_AFFINE and not self.a > 0.0:
-            raise InputError("affine transform needs slope > 0")
+        if self.kind == T_POWER and not 0.0 < self.p < INF:
+            raise InputError("power transform needs finite p > 0")
+        if self.kind == T_AFFINE and not (0.0 < self.a < INF and 0.0 <= self.b < INF):
+            raise InputError("affine transform needs finite slope a > 0 and finite offset b >= 0")
         if self.kind not in (T_IDENTITY, T_POWER, T_AFFINE, T_COMPOSE):
             raise InputError(f"unknown transform kind {self.kind!r}")
         object.__setattr__(self, "kernel", _transform_kernel(self))
@@ -299,6 +299,10 @@ class CappedFunction:
     base: object
     cap_value: float
 
+    def __post_init__(self):
+        if math.isnan(self.cap_value) or self.cap_value < 0.0:
+            raise InputError("cap must be nonnegative")
+
 
 @dataclass(frozen=True)
 class FlooredFunction:
@@ -306,6 +310,10 @@ class FlooredFunction:
 
     base: object
     floor_value: float
+
+    def __post_init__(self):
+        if math.isnan(self.floor_value) or self.floor_value < 0.0 or self.floor_value == INF:
+            raise InputError("floor must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .inequalities import (
     verify,
 )
 from .serialize import (
+    _json_int,
     digest,
     dumps_17g,
     instance_to_json,
@@ -89,8 +90,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.theorem_id not in THEOREM_IDS:
             raise InputError(f"unknown theorem id {self.theorem_id!r}")
-        if self.seed < 0:
-            raise InputError("seed must be nonnegative")
+        if not 0 <= self.seed < 2**128:
+            raise InputError("seed must be in 0..2**128-1")
         if self.trials < 0:
             raise InputError("trials must be nonnegative")
         if self.carrier not in ("finite", "lebesgue_power"):
@@ -165,13 +166,6 @@ class CampaignConfig:
         )
 
 
-def _json_int(v, name: str) -> int:
-    # a JSON bool parses to a Python bool, which is an int
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"{name} must be an integer, got {v!r}")
-    return v
-
-
 def _json_range(v, name: str) -> tuple[float, float]:
     # two finite JSON numbers; a JSON bool parses to a Python bool, which is
     # an int, and abs() bounds ints beyond the float range without overflow
@@ -205,30 +199,23 @@ def random_table_measure(
 ) -> FiniteMonotoneMeasure:
     """Monotone table from sorted uniforms assigned by subset cardinality.
 
-    The cardinality assignment makes most covering pairs consistent; the
-    upward pass maxes each subset with everything it covers, which repairs
-    the rest without breaking earlier rows.
+    Subsets take the sorted draws in order of (cardinality, mask), so each
+    subset gets a draw at least as large as those of the subsets it
+    covers, and the table is monotone as drawn.
     """
     size = 1 << n
     draws = np.sort(rng.uniform(0.0, 1.0, size=size))
-    order = sorted(range(size), key=lambda s: (bin(s).count("1"), s))
-    table = [0.0] * size
-    for rank, s in enumerate(order):
-        table[s] = float(draws[rank])
+    masks = np.arange(size)
+    cardinality = sum((masks >> b) & 1 for b in range(n))
+    table = np.empty(size)
+    table[np.argsort(cardinality, kind="stable")] = draws
     table[0] = 0.0
-    for s in order:
-        for b in range(n):
-            if s & (1 << b):
-                cov = table[s ^ (1 << b)]
-                if cov > table[s]:
-                    table[s] = cov
     if table[-1] <= 0.0:  # all-zero draws are measure-zero but stay safe
         table[-1] = 1.0
     if normalized:
-        t = table[-1]
-        table = [v / t for v in table]
+        table /= table[-1]
         table[-1] = 1.0
-    return FiniteMonotoneMeasure(n, tuple(table))
+    return FiniteMonotoneMeasure(n, tuple(table.tolist()))
 
 
 def _lattice_draw(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -460,14 +447,11 @@ def _drop_element(inst: TheoremInstance, j: int) -> TheoremInstance | None:
     funcs = tuple(
         FiniteFunction(f.values[:j] + f.values[j + 1 :]) for f in inst.functions
     )
-    try:
-        measure = FiniteMonotoneMeasure(n - 1, tuple(table))
-    except InputError:
-        return None
+    # a restriction of a monotone table is monotone
     return TheoremInstance.make(
         inst.theorem_id,
         inst.op,
-        measure,
+        FiniteMonotoneMeasure(n - 1, tuple(table)),
         funcs,
         star=inst.star,
         H=inst.H,

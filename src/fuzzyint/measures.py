@@ -18,13 +18,14 @@ candidates or ``full_sup``, so it is exact too and needs no tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .ops import CheckResult, InputError, PropertyReport
+from .ops import InputError
 from .functions import (
     CappedFunction,
     ConstFunction,
@@ -46,6 +47,15 @@ MAX_GROUND_SET = 20
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _covering_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every covering pair (S, S | bit) of n bits, bit by bit, S ascending."""
+    masks = np.arange(1 << n)
+    lo = np.concatenate([masks[masks & (1 << b) == 0] for b in range(n)])
+    hi = lo | np.repeat(1 << np.arange(n), 1 << (n - 1))
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class FiniteMonotoneMeasure:
     """Set function on 2**n subsets stored as a bitmask-indexed table."""
@@ -62,9 +72,17 @@ class FiniteMonotoneMeasure:
             raise InputError("measure of the empty set must be 0")
         if not self.table[-1] > 0.0:
             raise InputError("measure of the full set must be positive")
-        for v in self.table:
-            if math.isnan(v) or v < 0.0:
-                raise InputError(f"bad measure value {v!r}")
+        # with m(empty) = 0, every covering pair in order also rules out
+        # negative and NaN entries (a NaN fails every comparison)
+        lo, hi = _covering_pairs(self.n)
+        arr = np.asarray(self.table, dtype=float)
+        ordered = arr[lo] <= arr[hi]
+        if not ordered.all():
+            for v in self.table:
+                if math.isnan(v) or v < 0.0:
+                    raise InputError(f"bad measure value {v!r}")
+            k = int(np.argmin(ordered))
+            raise InputError(f"measure is not monotone: m({lo[k]}) > m({hi[k]})")
 
     @property
     def total(self) -> float:
@@ -101,43 +119,6 @@ class DistortedLebesgue:
 
 
 Measure = FiniteMonotoneMeasure | DistortedLebesgue
-
-
-def validate_measure(m: Measure, grid: int = 101) -> PropertyReport:
-    """Full invariant check; monotonicity runs over all covering pairs."""
-    if isinstance(m, FiniteMonotoneMeasure):
-        checks = [
-            CheckResult("empty_zero", m.table[0] == 0.0),
-            CheckResult("full_positive", m.total > 0.0),
-        ]
-        arr = np.asarray(m.table)
-        masks = np.arange(1 << m.n)
-        witness = None
-        for b in range(m.n):
-            lower = masks[(masks >> b) & 1 == 0]
-            bad = np.nonzero(arr[lower] > arr[lower | (1 << b)])[0]
-            if bad.size:
-                s = int(lower[bad[0]])
-                witness = (s, s | (1 << b))
-                break
-        checks.append(CheckResult("monotone", witness is None, witness))
-        return PropertyReport(checks=tuple(checks), grid={"pairs": "all covering"})
-    g = m.distortion
-    checks = [
-        CheckResult("zero_at_zero", g.apply(0.0) == 0.0),
-        CheckResult("positive_at_one", g.apply(1.0) > 0.0),
-    ]
-    witness = None
-    prev = None
-    for i in range(grid):
-        x = i / (grid - 1)
-        y = g.apply(x)
-        if prev is not None and y < prev[1]:
-            witness = (prev[0], x)
-            break
-        prev = (x, y)
-    checks.append(CheckResult("nondecreasing", witness is None, witness))
-    return PropertyReport(checks=tuple(checks), grid={"n": grid})
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from contextlib import contextmanager
 
 from .ops import (
@@ -49,7 +50,7 @@ from .functions import (
     identity,
     power,
 )
-from .measures import DistortedLebesgue, FiniteMonotoneMeasure
+from .measures import MAX_GROUND_SET, DistortedLebesgue, FiniteMonotoneMeasure
 from .inequalities import NaryOp, TheoremInstance, h_table, h_wmean
 
 
@@ -129,9 +130,22 @@ def reading(what: str):
 def _num(x) -> float:
     if x == "inf":
         return INF
-    if isinstance(x, (int, float)) and not isinstance(x, bool) and not math.isnan(x):
+    if isinstance(x, float) and not math.isnan(x):
         return float(x)
+    # a JSON bool parses to a Python bool, which is an int, and a JSON
+    # integer can lie beyond the float range, where float() overflows
+    if isinstance(x, int) and not isinstance(x, bool):
+        if abs(x) <= sys.float_info.max:
+            return float(x)
+        raise InputError("expected a number or \"inf\", got an integer beyond the float range")
     raise InputError(f"expected a number or \"inf\", got {x!r}")
+
+
+def _json_int(v, name: str) -> int:
+    # a JSON bool parses to a Python bool, which is an int
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+    return v
 
 
 def _num_out(x: float):
@@ -240,7 +254,10 @@ def measure_to_json(m) -> dict:
 def measure_from_json(d: dict):
     t = d.get("type")
     if t == "finite":
-        n = int(d["n"])
+        n = _json_int(d["n"], "n")
+        # before 1 << n sizes the table read below
+        if not 1 <= n <= MAX_GROUND_SET:
+            raise InputError(f"ground set size must be in 1..{MAX_GROUND_SET}")
         table = d["table"]
         return FiniteMonotoneMeasure(n, tuple(_num(table[str(s)]) for s in range(1 << n)))
     if t == "distorted_lebesgue":
@@ -328,7 +345,7 @@ def nary_to_json(H: NaryOp) -> dict:
 @reading("aggregation document")
 def nary_from_json(d: dict) -> NaryOp:
     kind = d.get("kind")
-    arity = int(d.get("arity", 2))
+    arity = _json_int(d.get("arity", 2), "arity")
     if kind in ("min", "max", "prod"):
         return NaryOp(kind, arity)
     if kind == "wmean":

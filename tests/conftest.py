@@ -24,6 +24,16 @@ def random_measure(rng: np.random.Generator, n: int, normalized: bool = True) ->
     return random_table_measure(rng, n, normalized=normalized)
 
 
+def is_monotone_table(m: FiniteMonotoneMeasure) -> bool:
+    """m(S) <= m(S | {b}) for every subset S and every b outside it, by brute force."""
+    return all(
+        m.table[s] <= m.table[s | 1 << b]
+        for s in range(1 << m.n)
+        for b in range(m.n)
+        if not s >> b & 1
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return rng_of(20260825)

@@ -158,6 +158,16 @@ NAN_INSTANCE = {
     ],
 }
 
+# a finite chebyshev instance whose table has m({x0}) = 1.5 > m({x0, x1}) = 1
+NON_MONOTONE_INSTANCE = {
+    "theorem": "chebyshev",
+    "op": {"kind": "min", "cap": "inf"},
+    "star": {"kind": "min", "cap": "inf"},
+    "measure": {"type": "finite", "n": 2, "table": {"0": 0, "1": 1.5, "2": 0.2, "3": 1}},
+    "functions": [{"type": "finite", "values": [0.2, 0.5]},
+                  {"type": "finite", "values": [0.1, 0.4]}],
+}
+
 
 @pytest.mark.parametrize(
     "argv, doc",
@@ -166,8 +176,15 @@ NAN_INSTANCE = {
          {k: v for k, v in NAN_INSTANCE.items() if k != "op"}),
         (("integrate", "--integral", "sugeno"), {"measure": LEB_SQRT["measure"], "functions": []}),
         (("verify", "--theorem", "chebyshev"), NAN_INSTANCE),
+        (("verify", "--theorem", "chebyshev"), NON_MONOTONE_INSTANCE),
+        (("verify", "--theorem", "chebyshev"), dict(NAN_INSTANCE, functions=[
+            {"type": "transformed", "base": {"type": "power", "p": 1},
+             "transform": {"kind": "affine", "a": 1, "b": -0.3}},
+            {"type": "power", "p": 2},
+        ])),
     ],
-    ids=["verify-without-op", "integrate-without-functions", "verify-nan-parameter"],
+    ids=["verify-without-op", "integrate-without-functions", "verify-nan-parameter",
+         "verify-non-monotone-table", "verify-negative-affine-offset"],
 )
 def test_bad_instance_document_exits_two(tmp_path, capsys, argv, doc):
     path = tmp_path / "inst.json"
@@ -271,10 +288,11 @@ def test_falsify_config_without_seed_exits_two(tmp_path, capsys):
         {"exponent_ranges": {"xi1": [0.3, "OVERFLOW"]}},
         {"exponent_ranges": {"xi1": [math.nan, 0.8]}},
         {"exponent_ranges": {"xi1": 0.5}},
+        {"seed": 2**128},
     ],
     ids=["scale-huge", "p-range-three-numbers", "p-range-string", "p-range-bool",
          "p-range-zero", "exponent-range-inf-string", "exponent-range-1e400",
-         "exponent-range-nan", "exponent-range-scalar"],
+         "exponent-range-nan", "exponent-range-scalar", "seed-beyond-philox-key"],
 )
 def test_falsify_bad_scale_or_range_exits_two_before_any_output(tmp_path, capsys, patch):
     # an interval campaign on distorted measures, which draws from both ranges

@@ -19,20 +19,27 @@ from fuzzyint import (
     PowerFunction,
     PwlFunction,
     TransformedFunction,
+    UnsupportedError,
     affine,
     apply_transform,
     compose,
     eval_at,
+    eval_op,
     identity,
     is_comonotone,
     is_countermonotone,
+    lukasiewicz_op,
     make_comonotone_system,
+    max_op,
     min_op,
     pointwise_combine,
     power,
+    probsum_op,
     prod_op,
+    sum_op,
     sup_value,
 )
+from fuzzyint.functions import COMONOTONE_SAMPLES
 from conftest import rng_of
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -57,10 +64,16 @@ def test_transform_rejects_non_increasing_parameters():
         power(0.0)
     with pytest.raises(InputError):
         power(-2.0)
+    with pytest.raises(InputError, match="finite p > 0"):
+        power(math.inf)  # 0.5 would invert to 1
     with pytest.raises(InputError):
         affine(0.0, 1.0)
     with pytest.raises(InputError):
         affine(-1.0)
+    # so every transform maps [0, inf) into itself without decreasing
+    for a, b in ((1.0, -0.3), (1.0, math.nan), (1.0, math.inf), (math.nan, 0.0), (math.inf, 0.0)):
+        with pytest.raises(InputError, match="finite slope a > 0 and finite offset b >= 0"):
+            affine(a, b)
 
 
 def test_compose_applies_left_to_right():
@@ -98,6 +111,7 @@ def test_sup_value_per_family():
     assert sup_value(PowerFunction(3.0, coef=0.8)) == 0.8
     assert sup_value(PwlFunction((0.0, 0.5, 1.0), (0.0, 1.0, 0.5))) == 1.0
     assert sup_value(CappedFunction(PowerFunction(1.0), 0.6)) == 0.6
+    assert sup_value(CappedFunction(PowerFunction(1.0), math.inf)) == 1.0
     assert sup_value(FiniteFunction((0.2, 0.9, 0.1))) == 0.9
     assert sup_value(TransformedFunction(PowerFunction(1.0), power(2.0))) == 1.0
 
@@ -121,6 +135,12 @@ def test_function_constructors_reject_bad_values():
         PwlFunction((0.0, 0.5, 0.5, 1.0), (0.0, 0.1, 0.2, 0.3))
     with pytest.raises(InputError):
         ConstFunction(-0.1)
+    for cap in (math.nan, -0.2):
+        with pytest.raises(InputError, match="cap must be nonnegative"):
+            CappedFunction(PowerFunction(1.0), cap)
+    for floor in (math.nan, -3.0, math.inf):
+        with pytest.raises(InputError, match="floor must be finite and nonnegative"):
+            FlooredFunction(PowerFunction(1.0), floor)
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +304,56 @@ def test_pointwise_combine_finite_vectors():
     g = FiniteFunction((0.5, 0.5))
     h = pointwise_combine(min_op(1.0), f, g)
     assert h.values == (0.2, 0.5)
+
+
+# nondecreasing representatives of every unit-interval function kind, so
+# every pair is comonotone; two powers share p, and the two ramps cross
+COMBINE_KINDS = {
+    "const": (ConstFunction(0.0), ConstFunction(0.4), ConstFunction(0.95)),
+    "power": (PowerFunction(2.0, coef=0.8), PowerFunction(2.0, coef=0.5), PowerFunction(0.5)),
+    "pwl": (
+        PwlFunction((0.0, 0.5, 1.0), (0.1, 0.7, 0.9)),
+        PwlFunction((0.0, 0.3, 1.0), (0.0, 0.8, 0.85)),
+    ),
+    "capped": (CappedFunction(PowerFunction(1.0), 0.6),),
+    "floored": (FlooredFunction(PowerFunction(1.0), 0.3),),
+    "lattice": (LatticeCombo("max", (PowerFunction(2.0), ConstFunction(0.2))),),
+    "transformed": (TransformedFunction(PowerFunction(1.0), power(0.5)),),
+}
+
+
+def combine_is_supported(star, kf, f, kg, g) -> bool:
+    """The pairs the closed family forms exactly, by star."""
+    if kf == kg == "const":
+        return True
+    if star.kind in ("min", "max"):
+        return True
+    if star.kind == "prod":
+        return "const" in (kf, kg) or kf == kg == "power"
+    if star.kind == "sum":
+        if "const" in (kf, kg) or kf == kg == "pwl":
+            return True
+        return kf == kg == "power" and f.p == g.p
+    return False
+
+
+@pytest.mark.parametrize(
+    "star",
+    [min_op(), max_op(), prod_op(), sum_op(), probsum_op(), lukasiewicz_op()],
+    ids=lambda op: op.kind,
+)
+def test_pointwise_combine_agrees_with_the_op_at_the_sample_points(star):
+    xs = [i / (COMONOTONE_SAMPLES - 1) for i in range(COMONOTONE_SAMPLES)]
+    for kf, fs in COMBINE_KINDS.items():
+        for kg, gs in COMBINE_KINDS.items():
+            for f in fs:
+                for g in gs:
+                    if not combine_is_supported(star, kf, f, kg, g):
+                        with pytest.raises(UnsupportedError):
+                            pointwise_combine(star, f, g)
+                        continue
+                    h = pointwise_combine(star, f, g)
+                    for x in xs:
+                        want = eval_op(star, eval_at(f, x), eval_at(g, x))
+                        got = eval_at(h, x)
+                        assert math.isclose(got, want, rel_tol=1e-12), (kf, kg, f, g, x)

@@ -19,9 +19,9 @@ from fuzzyint import (
     prod_op,
     reproduce_paper,
     run_campaign,
-    validate_measure,
     verify,
 )
+from conftest import is_monotone_table
 
 
 def chebyshev_config(trials=50, seed=424242, **kw):
@@ -84,7 +84,7 @@ def test_generated_instances_are_well_formed():
     cfg = chebyshev_config(trials=40)
     for i in range(40):
         inst = gen_instance(cfg, i)
-        assert validate_measure(inst.measure).passed
+        assert is_monotone_table(inst.measure)
         assert inst.measure.total == 1.0
         assert 2 <= inst.measure.n <= 8
         for f in inst.functions:
@@ -141,6 +141,12 @@ def test_n_range_bounds_only_the_finite_carrier():
 def test_negative_seed_is_rejected():
     with pytest.raises(InputError, match="seed"):
         chebyshev_config(seed=-1)
+
+
+def test_seed_must_fit_the_philox_key():
+    assert chebyshev_config(seed=2**128 - 1).seed == 2**128 - 1
+    with pytest.raises(InputError, match="seed"):
+        chebyshev_config(seed=2**128)
 
 
 @pytest.mark.parametrize(

@@ -25,9 +25,8 @@ from fuzzyint import (
     identity,
     power,
     survival,
-    validate_measure,
 )
-from conftest import random_finite_function, random_measure, rng_of
+from conftest import is_monotone_table, random_finite_function, random_measure, rng_of
 
 
 # ---------------------------------------------------------------------------
@@ -44,17 +43,25 @@ def test_constructor_rejects_malformed_tables():
         FiniteMonotoneMeasure(1, (0.0, 0.0))  # full set not positive
     with pytest.raises(InputError):
         FiniteMonotoneMeasure(1, (0.0, -1.0))
+    with pytest.raises(InputError, match="bad measure value nan"):
+        FiniteMonotoneMeasure(2, (0.0, math.nan, 0.2, 1.0))
+    with pytest.raises(InputError, match="bad measure value -0.1"):
+        FiniteMonotoneMeasure(2, (0.0, 0.3, -0.1, 1.0))
     with pytest.raises(InputError):
         FiniteMonotoneMeasure(0, (1.0,))
 
 
-def test_validation_catches_non_monotone_table():
+def test_constructor_rejects_non_monotone_table():
     # {0} has larger measure than {0,1}
-    m = FiniteMonotoneMeasure(2, (0.0, 0.9, 0.1, 0.5))
-    rep = validate_measure(m)
-    assert not rep.passed
-    bad = [c for c in rep.checks if not c.passed]
-    assert bad and bad[0].witness is not None
+    with pytest.raises(InputError, match=r"^measure is not monotone: m\(1\) > m\(3\)$"):
+        FiniteMonotoneMeasure(2, (0.0, 0.9, 0.1, 0.5))
+    with pytest.raises(InputError, match=r"^measure is not monotone: m\(1\) > m\(3\)$"):
+        FiniteMonotoneMeasure(2, (0.0, 1.5, 0.2, 1.0))
+    # the first failing pair in order: bit by bit, then by mask ascending
+    with pytest.raises(InputError, match=r"m\(4\) > m\(5\)$"):
+        FiniteMonotoneMeasure(3, (0.0, 0.1, 0.1, 0.2, 0.9, 0.5, 0.3, 1.0))
+    # ties and infinite values in order pass
+    assert FiniteMonotoneMeasure(2, (0.0, 1.0, math.inf, math.inf)).total == math.inf
 
 
 def test_counting_measure_counts_bits():
@@ -72,10 +79,10 @@ def test_random_tables_are_valid_and_normalized():
     for _ in range(50):
         n = int(rng.integers(1, 9))
         m = random_measure(rng, n, normalized=True)
-        assert validate_measure(m).passed
+        assert is_monotone_table(m)
         assert m.total == 1.0
     m = random_measure(rng, 4, normalized=False)
-    assert validate_measure(m).passed
+    assert is_monotone_table(m)
 
 
 def test_distortion_must_pin_zero():
@@ -83,6 +90,12 @@ def test_distortion_must_pin_zero():
         DistortedLebesgue(affine(1.0, 0.5))
     assert DistortedLebesgue(power(2.0)).total == 1.0
     assert DistortedLebesgue(affine(2.0)).total == 2.0
+
+
+def test_distortions_are_monotone_by_construction():
+    # g(x) = (x - 0.3)**2 - 0.09 sends 0 to 0 but falls to -0.09 at 0.3
+    with pytest.raises(InputError, match="offset b >= 0"):
+        DistortedLebesgue(compose(affine(1.0, -0.3), power(2.0), affine(1.0, -0.09)))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from fuzzyint import (
     prod_op,
     smallest_op,
     sum_op,
+    table_op,
     transform_from_json,
     transform_to_json,
     verify,
@@ -246,6 +247,18 @@ def test_instance_round_trip_preserves_digest_and_verdict(inst):
          "malformed op document: 'int' object is not iterable"),
         (nary_from_json, ["min"], "malformed aggregation document"),
         (transform_from_json, {"kind": "compose", "parts": [5]}, "malformed transform document"),
+        (op_from_json, {"kind": "min", "cap": 10**400},
+         "expected a number or \"inf\", got an integer beyond the float range"),
+        (measure_from_json, {"type": "finite", "n": 1.9, "table": {"0": 0, "1": 1}},
+         "malformed measure document: n must be an integer, got 1.9"),
+        (measure_from_json, {"type": "finite", "n": "1", "table": {"0": 0, "1": 1}},
+         "malformed measure document: n must be an integer, got '1'"),
+        (measure_from_json, {"type": "finite", "n": 64, "table": {}},
+         "ground set size must be in 1..20"),
+        (measure_from_json, {"type": "finite", "n": -1, "table": {}},
+         "ground set size must be in 1..20"),
+        (nary_from_json, {"kind": "min", "arity": 2.7},
+         "malformed aggregation document: arity must be an integer, got 2.7"),
     ],
 )
 def test_readers_report_missing_and_mistyped_fields_as_input_errors(reader, doc, needle):
@@ -264,6 +277,25 @@ def test_readers_report_missing_and_mistyped_fields_as_input_errors(reader, doc,
 def test_readers_reject_nan_numbers(reader, doc):
     with pytest.raises(InputError, match="expected a number"):
         reader(doc)
+
+
+def test_custom_table_op_round_trips_through_an_instance():
+    nodes = (0.0, 0.5, 1.0)
+    op = table_op(
+        nodes, [min(a, b) for a in nodes for b in nodes], neutral=1.0,
+        flags=("nondecreasing", "commutative", "associative", "neutral",
+               "annihilator_zero", "bounded_above_by_min"),
+        name="min3",
+    )
+    inst = TheoremInstance.make(
+        "chebyshev", op, FiniteMonotoneMeasure(2, (0.0, 0.25, 0.5, 1.0)),
+        [FiniteFunction((0.2, 0.6)), FiniteFunction((0.1, 0.9))], star=op,
+    )
+    doc = instance_to_json(inst)
+    assert doc["op"]["kind"] == "custom" and doc["op"]["name"] == "min3"
+    back = instance_from_json(json.loads(dumps_17g(doc)))
+    assert back.op == op and back.star == op
+    assert digest(verify(back).to_json()) == digest(verify(inst).to_json())
 
 
 def test_instance_json_is_self_contained():
