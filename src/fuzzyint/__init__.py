@@ -60,7 +60,6 @@ from .measures import (
     FiniteMonotoneMeasure,
     SurvivalProfile,
     counting_measure,
-    essinf,
     survival,
 )
 from .integrals import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .ops import GridSpec, InputError, verify_op_properties
@@ -26,6 +27,7 @@ from .integrals import (
 from .inequalities import THEOREM_IDS, verify
 from .harness import CampaignConfig, reproduce_paper, run_campaign
 from .serialize import (
+    _num,
     dumps_17g,
     function_from_json,
     instance_from_json,
@@ -52,13 +54,15 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_integrate(args) -> int:
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"--tol must be a finite number > 0, got {tol!r}")
     doc = _read_json(args.instance)
     with reading("instance document"):
         if "measure" not in doc or "function" not in doc and "functions" not in doc:
             raise InputError("instance document needs measure and function entries")
         measure = measure_from_json(doc["measure"])
         f = function_from_json(doc.get("function") or doc["functions"][0])
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     kind = args.integral
     if kind in ("universal", "seminormed", "semiconormed"):
         opdoc = doc.get("op")
@@ -81,14 +85,14 @@ def _cmd_integrate(args) -> int:
         e = args.e if args.e is not None else doc.get("e")
         if e is None:
             raise InputError("smallest-e integral needs --e")
-        with reading("instance document"):
-            e = float(e)
-        res = smallest_e_integral(measure, f, e, tol=tol)
+        res = smallest_e_integral(measure, f, _num(e), tol=tol)
     _emit({"value": res.value, "tol": res.tol, "candidates": res.candidates})
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise InputError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     inst = instance_from_json(_read_json(args.instance))
     if args.theorem != inst.theorem_id:
         raise InputError(
@@ -172,8 +176,12 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (InputError, UnsupportedError) as exc:
-        sys.stderr.write(dumps_17g({"error": str(exc)}) + "\n")
-        return 2
+        error = str(exc)
+    except OverflowError as exc:
+        # a power of the input data beyond the float range
+        error = f"float overflow: {exc}"
+    sys.stderr.write(dumps_17g({"error": error}) + "\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ops import BinaryOp, InputError, min_op
+from .ops import INF, BinaryOp, InputError, min_op
 from .functions import (
+    IDENTITY,
     ConstFunction,
     FiniteFunction,
     MonotoneTransform,
@@ -35,6 +36,7 @@ from .inequalities import (
     InequalityVerdict,
     NaryOp,
     TheoremInstance,
+    _integral,
     h_min,
     verify,
 )
@@ -53,6 +55,7 @@ from .serialize import (
 )
 
 PRNG_ALGORITHM = "philox4x64"
+_MAX_RANGE = 1e6
 
 _EXP_SYMBOLS = {
     "holder": ("p", "q"),
@@ -104,8 +107,11 @@ class CampaignConfig:
             len(self.n_range) == 2 and 1 <= self.n_range[0] <= self.n_range[1] <= MAX_GROUND_SET
         ):
             raise InputError(f"n_range must be [lo, hi] with 1 <= lo <= hi <= {MAX_GROUND_SET}")
-        if not self.distortion_p_range[0] > 0.0:
-            raise InputError("distortion_p_range needs a positive lower bound")
+        # ranges are drawn on a 0.05 lattice, counted in int64
+        ranges = (("distortion_p_range", self.distortion_p_range),) + self.exponent_ranges
+        for name, (lo, hi) in ranges:
+            if not 0.0 < lo <= hi <= _MAX_RANGE:
+                raise InputError(f"{name} must be [lo, hi] with 0 < lo <= hi <= {_MAX_RANGE:g}")
         if self.scale not in ("unit", "extended"):
             raise InputError("scale must be 'unit' or 'extended'")
 
@@ -463,7 +469,11 @@ def _drop_element(inst: TheoremInstance, j: int) -> TheoremInstance | None:
 
 
 def shrink_instance(inst: TheoremInstance):
-    """Greedy one-element reduction keeping the verdict violating."""
+    """Greedy one-element reduction keeping the verdict violating.
+
+    Candidates are verified with skip_hypotheses, so the returned verdict
+    carries holds, margin and sides but no hypothesis report.
+    """
     if not isinstance(inst.measure, FiniteMonotoneMeasure):
         return None, None
     if not all(isinstance(f, FiniteFunction) for f in inst.functions):
@@ -478,7 +488,9 @@ def shrink_instance(inst: TheoremInstance):
             if cand is None:
                 continue
             try:
-                v = verify(cand)
+                # only holds and margin are read; neither depends on the
+                # hypothesis checks
+                v = verify(cand, skip_hypotheses=True)
             except InputError:
                 continue
             if not v.holds:
@@ -499,14 +511,22 @@ def run_campaign(
     hypothesis-passing instance fails, while deliberately unmet regimes
     report their violations with hypotheses_met false.
     """
-    if config.carrier == "finite" and config.scale == "extended":
-        # extended-scale values exceed 1, where a cap-1 op cannot evaluate;
-        # refuse before the header rather than die mid-stream
-        capped = [op.label() for op in config.op_pool + config.star_pool if op.cap == 1.0]
-        if capped:
-            raise InputError(
-                f"extended scale needs uncapped ops, but these have cap 1: {', '.join(capped)}"
-            )
+    # an op that would fail every trial drawing it is refused before the
+    # header rather than mid-stream: finite extended-scale data exceed 1,
+    # other data reach 1, and the family's integral checks its op before
+    # it reads any data
+    need = INF if config.carrier == "finite" and config.scale == "extended" else 1.0
+    short = [op for op in config.op_pool + config.star_pool if op.cap < need]
+    if short:
+        caps = "/".join(sorted({f"{op.cap:g}" for op in short}))
+        labels = ", ".join(op.label() for op in short)
+        raise InputError(
+            f"{config.scale} scale needs ops of cap {need:g}, but these have cap {caps}: {labels}"
+        )
+    probe = FiniteFunction((0.0,))
+    for op in config.op_pool or (min_op(),):
+        inst = TheoremInstance.make(config.theorem_id, op, counting_measure(1), [probe])
+        _integral(inst, IDENTITY, probe)
     hyp_pass = 0
     violations = []
     if on_record is not None:

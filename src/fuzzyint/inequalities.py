@@ -392,6 +392,14 @@ class InequalityVerdict:
 # ---------------------------------------------------------------------------
 
 
+def _scalar(ex: Mapping, name: str, default: float = 1.0) -> float:
+    """The exponent called name; the n-ary vectors are the only sequences."""
+    v = ex.get(name, default)
+    if isinstance(v, tuple):
+        raise InputError(f"exponent {name} must be a number")
+    return v
+
+
 def _two_function_exponents(tid: str, ex: Mapping):
     """(xi0, xi1, xi2), (om0, om1, om2) of a two-function family.
 
@@ -400,22 +408,23 @@ def _two_function_exponents(tid: str, ex: Mapping):
     if tid in ("chebyshev", "rev_chebyshev"):
         return (1.0, 1.0, 1.0), (1.0, 1.0, 1.0)
     if tid in ("holder", "rev_holder"):
-        p = ex.get("p", 1.0)
-        q = ex.get("q", 1.0)
+        p = _scalar(ex, "p")
+        q = _scalar(ex, "q")
         if not (p >= 1.0 and q >= 1.0):
             raise InputError("conjugate exponents need p, q >= 1")
         return (1.0, p, q), (1.0, 1.0 / p, 1.0 / q)
     if tid in ("minkowski", "rev_minkowski"):
-        s = ex.get("s" if tid == "minkowski" else "k", 1.0)
+        s = _scalar(ex, "s" if tid == "minkowski" else "k")
         if not s > 0.0:
             raise InputError("root-mean exponent must be positive")
         return (s, s, s), (1.0 / s, 1.0 / s, 1.0 / s)
     if tid == "star_general":
-        xi = tuple(ex.get(f"xi{i}", 1.0) for i in range(3))
-        om = tuple(ex.get(f"omega{i}", 1.0) for i in range(3))
+        xi = tuple(_scalar(ex, f"xi{i}") for i in range(3))
+        om = tuple(_scalar(ex, f"omega{i}") for i in range(3))
     else:  # seminormed_general, rev_seminormed
-        xi = (ex.get("alpha", 1.0), ex.get("beta", 1.0), ex.get("gamma", 1.0))
-        om = (ex.get("lambda", ex.get("lam", 1.0)), ex.get("upsilon", 1.0), ex.get("tau", 1.0))
+        xi = tuple(_scalar(ex, k) for k in ("alpha", "beta", "gamma"))
+        lam = _scalar(ex, "lambda", _scalar(ex, "lam"))
+        om = (lam, _scalar(ex, "upsilon"), _scalar(ex, "tau"))
     for v in xi + om:
         if not v > 0.0:
             raise InputError("exponents must be positive")
@@ -438,7 +447,7 @@ def _nary_exponents(ex: Mapping, n: int):
 
 def _lyapunov_exponents(ex: Mapping):
     """Moment orders (r, s) of the Lyapunov family; a missing one reads as 1."""
-    r, s = ex.get("r", 1.0), ex.get("s", 1.0)
+    r, s = _scalar(ex, "r"), _scalar(ex, "s")
     if not (r > 0.0 and s > 0.0):
         raise InputError("moment orders must be positive")
     return r, s

@@ -5,7 +5,9 @@ Every evaluator scans thresholds t and pairs them with a level measure:
     forward:  sup over t of  t (op) m({f >= t})
     reverse:  inf over t of  t (op) m({f > t})
 
-On a finite carrier the level functions are step functions constant
+Sugeno, Shilkret and the smallest-e integral are the forward formula
+with the min, product and smallest pseudo-multiplication with neutral
+e.  On a finite carrier the level functions are step functions constant
 between the distinct values of f, and the op is nondecreasing, so the
 sup (resp. inf) is attained on the candidate values exactly; no
 tolerance is involved.  On the continuous carrier each span between
@@ -38,9 +40,10 @@ from .ops import (
     eval_op,  # not called here; perfbench/tracer.py counts calls at this binding
     min_op,
     prod_op,
+    smallest_op,
 )
 from .functions import sup_value
-from .measures import Measure, SurvivalProfile, essinf, survival
+from .measures import Measure, SurvivalProfile, survival
 
 DEFAULT_TOL = 1e-12
 
@@ -166,19 +169,9 @@ def shilkret(m: Measure, f, tol: float = DEFAULT_TOL) -> IntegralResult:
 
 
 def smallest_e_integral(m: Measure, f, e: float, tol: float = DEFAULT_TOL) -> IntegralResult:
-    """max of the e-level measure and the essential infimum.
-
-    This is the closed form of the smallest integral whose op has neutral
-    element e: the larger of m({f >= e}) and sup{t : m({f >= t}) = m(X)}.
-    """
-    if not e > 0.0:
-        raise InputError("neutral level e must be positive")
-    profile = survival(m, f)
-    level = profile.weak(e)
-    ess = essinf(m, f)
-    value = max(level, ess)
-    exact = profile.exact
-    return IntegralResult(value, 0.0 if exact else tol, 2, exact)
+    """Smallest-neutral-e integral; the smallest_op(e) instance of the sup
+    formula."""
+    return universal_integral(smallest_op(e), m, f, tol)
 
 
 def seminormed_integral(sc: BinaryOp, m: Measure, f, tol: float = DEFAULT_TOL) -> IntegralResult:
@@ -194,7 +187,7 @@ def seminormed_integral(sc: BinaryOp, m: Measure, f, tol: float = DEFAULT_TOL) -
     if sup_value(f) > 1.0:
         raise InputError("seminormed integral needs unit-scale data")
     profile = survival(m, f)
-    if profile.total > 1.0:
+    if m.total > 1.0:
         raise InputError("seminormed integral needs m(X) <= 1")
     value, evals, exact = _optimize(sc, profile, tol, minimize=False)
     return IntegralResult(value, 0.0 if exact else tol, evals, exact)
@@ -209,7 +202,7 @@ def semiconormed_integral(pa: BinaryOp, m: Measure, f, tol: float = DEFAULT_TOL)
     if pa.cap == 1.0 and sup_value(f) > 1.0:
         raise InputError("cap-1 reverse integral needs unit-scale data")
     profile = survival(m, f)
-    if pa.cap == 1.0 and profile.total > 1.0:
+    if pa.cap == 1.0 and m.total > 1.0:
         raise InputError("cap-1 reverse integral needs m(X) <= 1")
     value, evals, exact = _optimize(pa, profile, tol, minimize=True)
     return IntegralResult(value, 0.0 if exact else tol, evals, exact)

@@ -9,11 +9,9 @@ The survival profile of a pair (m, f) packages the two level functions
 
     weak(t)   = m({f >= t})        strict(t) = m({f > t})
 
-together with the candidate thresholds where they can jump, and the
-minimum of f (``full_sup``).  Both level functions are evaluated
-exactly: finite carriers by bitmask lookup, the continuous family by
-closed-form level-set lengths.  The essential infimum reads off the
-candidates or ``full_sup``, so it is exact too and needs no tolerance.
+together with the candidate thresholds where they can jump.  Both level
+functions are evaluated exactly: finite carriers by bitmask lookup, the
+continuous family by closed-form level-set lengths.
 """
 
 from __future__ import annotations
@@ -141,12 +139,7 @@ class SurvivalProfile:
     strict: Callable[[float], float]
     candidates: tuple[float, ...]
     t_max: float
-    total: float
     exact: bool
-    # sup{t : {f >= t} is the whole carrier}; the minimum of f.  Exact by
-    # construction, which matters because the level measure can round to
-    # the total long before the level set is actually full.
-    full_sup: float
 
     def compose(self, transform: MonotoneTransform) -> "SurvivalProfile":
         """Profile of transform(f) from the profile of f.
@@ -183,9 +176,7 @@ class SurvivalProfile:
             strict=strict,
             candidates=new_cands,
             t_max=new_t_max,
-            total=self.total,
             exact=self.exact,
-            full_sup=transform.apply(self.full_sup),
         )
 
 
@@ -215,9 +206,7 @@ def _finite_profile(m: FiniteMonotoneMeasure, f: FiniteFunction) -> SurvivalProf
         strict=strict,
         candidates=cands,
         t_max=max(values),
-        total=m.total,
         exact=True,
-        full_sup=min(values),
     )
 
 
@@ -289,7 +278,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
         def strict(t: float, c=c) -> float:
             return total if t < c else g(0.0)
 
-        return SurvivalProfile(weak, strict, (c,), c, total, exact=True, full_sup=c)
+        return SurvivalProfile(weak, strict, (c,), c, exact=True)
 
     if isinstance(f, PowerFunction):
         coef, inv_p = f.coef, 1.0 / f.p
@@ -305,7 +294,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
         # most one point and have the same length
         strict = weak
         cands = (0.0, coef)
-        return SurvivalProfile(weak, strict, cands, coef, total, False, full_sup=0.0)
+        return SurvivalProfile(weak, strict, cands, coef, False)
 
     if isinstance(f, PwlFunction):
 
@@ -317,7 +306,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
 
         t_max = f.max_value()
         cands = tuple(sorted(set(f.ys)))
-        return SurvivalProfile(weak, strict, cands, t_max, total, False, full_sup=min(f.ys))
+        return SurvivalProfile(weak, strict, cands, t_max, False)
 
     if isinstance(f, CappedFunction):
         base = _profile_of(m, f.base)
@@ -332,15 +321,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
 
         t_max = min(base.t_max, c)
         cands = tuple(sorted({v for v in base.candidates if v <= c} | {t_max}))
-        return SurvivalProfile(
-            weak,
-            strict,
-            cands,
-            t_max,
-            total,
-            base.exact,
-            full_sup=min(base.full_sup, c),
-        )
+        return SurvivalProfile(weak, strict, cands, t_max, base.exact)
 
     if isinstance(f, FlooredFunction):
         base = _profile_of(m, f.base)
@@ -354,15 +335,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
 
         t_max = max(base.t_max, c)
         cands = tuple(sorted({v for v in base.candidates if v >= c} | {c}))
-        return SurvivalProfile(
-            weak,
-            strict,
-            cands,
-            t_max,
-            total,
-            base.exact,
-            full_sup=max(base.full_sup, c),
-        )
+        return SurvivalProfile(weak, strict, cands, t_max, base.exact)
 
     if isinstance(f, LatticeCombo):
         # parts are nondecreasing, so each level set is a right interval
@@ -378,9 +351,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
         for p in parts:
             cands |= {v for v in p.candidates if v <= t_max}
         cands |= {t_max}
-        cands = tuple(sorted(cands))
-        full_sup = pick(p.full_sup for p in parts)
-        return SurvivalProfile(weak, strict, cands, t_max, total, False, full_sup=full_sup)
+        return SurvivalProfile(weak, strict, tuple(sorted(cands)), t_max, False)
 
     raise InputError(f"no level-set rule for {type(f).__name__}")
 
@@ -397,21 +368,3 @@ def survival(m: Measure, f) -> SurvivalProfile:
         return _profile_of(m, f)
     raise InputError(f"unknown measure type {type(m).__name__}")
 
-
-def essinf(m: Measure, f) -> float:
-    """Essential infimum sup{t : m({f >= t}) = m(X)}, exact on both carriers.
-
-    Exact profiles (every finite one) read it off the candidates, where
-    elements of measure zero are skipped.  Otherwise it is the profile's
-    full_sup, the minimum of f: distortions are strictly increasing, so
-    the level set is full exactly up to min f, while the level measure can
-    round to m(X) well above it.
-    """
-    prof = survival(m, f)
-    if prof.exact:
-        best = 0.0
-        for c in prof.candidates:
-            if prof.weak(c) == prof.total:
-                best = max(best, c)
-        return best
-    return min(prof.full_sup, prof.t_max)

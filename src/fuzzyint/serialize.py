@@ -401,7 +401,10 @@ def instance_from_json(d: dict) -> TheoremInstance:
         u=[transform_from_json(t) for t in d.get("u", ())],
         psi=[transform_from_json(t) for t in d.get("psi", ())],
         phi=[transform_from_json(t) for t in d.get("phi", ())],
-        exponents=d.get("exponents"),
+        exponents={
+            k: [_num(x) for x in v] if isinstance(v, list) else _num(v)
+            for k, v in d.get("exponents", {}).items()
+        },
     )
 
 

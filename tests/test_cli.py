@@ -169,6 +169,14 @@ NON_MONOTONE_INSTANCE = {
 }
 
 
+# a valid finite star_general instance, spoilt one field at a time below
+STAR_INSTANCE = dict(
+    NON_MONOTONE_INSTANCE,
+    theorem="star_general",
+    measure={"type": "finite", "n": 2, "table": {"0": 0, "1": 0.5, "2": 0.2, "3": 1}},
+)
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [
@@ -182,9 +190,30 @@ NON_MONOTONE_INSTANCE = {
              "transform": {"kind": "affine", "a": 1, "b": -0.3}},
             {"type": "power", "p": 2},
         ])),
+        (("integrate", "--integral", "smallest-e"), dict(LEB_SQRT, e="0.5")),
+        (("integrate", "--integral", "smallest-e"), dict(LEB_SQRT, e=True)),
+        (("integrate", "--integral", "sugeno", "--tol", "0"), LEB_SQRT),
+        (("integrate", "--integral", "sugeno", "--tol", "-1"), LEB_SQRT),
+        (("verify", "--theorem", "chebyshev", "--tol", "-1"), instance_to_json(holding_instance())),
+        (("verify", "--theorem", "chebyshev", "--tol", "inf"), instance_to_json(failing_instance())),
+        (("verify", "--theorem", "chebyshev", "--tol", "nan"), instance_to_json(holding_instance())),
+        (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": [0.5]})),
+        (("verify", "--theorem", "lyapunov"), dict(
+            STAR_INSTANCE, theorem="lyapunov", functions=STAR_INSTANCE["functions"][:1],
+            exponents={"r": [2.0]})),
+        (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": "0.5"})),
+        (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": True})),
+        # phi(1e300) = 1e300 ** 2 is beyond the float range
+        (("verify", "--theorem", "jensen"), dict(
+            STAR_INSTANCE, theorem="jensen", functions=[{"type": "finite", "values": [1e300, 0.5]}],
+            phi=[{"kind": "power", "p": 2}])),
     ],
     ids=["verify-without-op", "integrate-without-functions", "verify-nan-parameter",
-         "verify-non-monotone-table", "verify-negative-affine-offset"],
+         "verify-non-monotone-table", "verify-negative-affine-offset", "integrate-e-string",
+         "integrate-e-bool", "integrate-tol-zero", "integrate-tol-negative",
+         "verify-tol-negative", "verify-tol-inf", "verify-tol-nan", "verify-exponent-list",
+         "verify-moment-order-list", "verify-exponent-string", "verify-exponent-bool",
+         "verify-power-overflow"],
 )
 def test_bad_instance_document_exits_two(tmp_path, capsys, argv, doc):
     path = tmp_path / "inst.json"
@@ -253,9 +282,13 @@ def test_falsify_clean_campaign_exits_zero(tmp_path, capsys):
         {"seed": None},
         {"op_pool": [{"kind": "prod", "cap": 1}], "scale": "extended", "seed": 3,
          "theorem": "chebyshev", "exponent_ranges": {}},
+        {"op_pool": [{"kind": "min", "cap": 0.5}]},
+        {"theorem": "rev_minkowski", "exponent_ranges": {"k": [0.5, 2.0]}},
+        {"op_pool": [{"kind": "max", "cap": 1}]},
     ],
     ids=["trials-string", "n-range-reversed", "n-range-too-large", "negative-seed",
-         "null-seed", "extended-cap-one"],
+         "null-seed", "extended-cap-one", "unit-cap-half", "reverse-family-forward-op",
+         "forward-family-reverse-op"],
 )
 def test_falsify_bad_config_exits_two_before_any_output(tmp_path, capsys, patch):
     doc = dict(falsify_config_doc(), **patch)
@@ -289,10 +322,14 @@ def test_falsify_config_without_seed_exits_two(tmp_path, capsys):
         {"exponent_ranges": {"xi1": [math.nan, 0.8]}},
         {"exponent_ranges": {"xi1": 0.5}},
         {"seed": 2**128},
+        {"distortion_p_range": [0.5, 1e300]},
+        {"exponent_ranges": {"xi1": [-1, 0.8]}},
+        {"exponent_ranges": {"xi1": [0.8, 0.3]}},
     ],
     ids=["scale-huge", "p-range-three-numbers", "p-range-string", "p-range-bool",
          "p-range-zero", "exponent-range-inf-string", "exponent-range-1e400",
-         "exponent-range-nan", "exponent-range-scalar", "seed-beyond-philox-key"],
+         "exponent-range-nan", "exponent-range-scalar", "seed-beyond-philox-key",
+         "p-range-1e300", "exponent-range-negative", "exponent-range-reversed"],
 )
 def test_falsify_bad_scale_or_range_exits_two_before_any_output(tmp_path, capsys, patch):
     # an interval campaign on distorted measures, which draws from both ranges

@@ -207,6 +207,16 @@ def test_smallest_neutral_closed_form_cases():
     # at e = 0.5 the level measure wins: length of {ramp >= 0.5} is 5/6
     got = float(smallest_e_integral(leb, ramp, 0.5))
     assert got == pytest.approx(5.0 / 6.0, abs=1e-12)
+    # the sup reaches t = 3, where both t and m({f >= 3}) = 0.6 are at
+    # least e, so the op takes their max; no essential infimum enters
+    m = FiniteMonotoneMeasure(2, (0.0, 0.6, 0.0, 1.0))
+    assert float(smallest_e_integral(m, FiniteFunction((3.0, 0.1)), 0.5)) == 3.0
+    # both t and the level stay below e = 0.75, so every pairing is 0
+    m = FiniteMonotoneMeasure(1, (0.0, 0.6471895115742501))
+    assert float(smallest_e_integral(m, FiniteFunction((0.58,)), 0.75)) == 0.0
+    # f = 2x: at t = 1 the level is 1/2, so t (op) level = max(1, 1/2) = 1
+    got = float(smallest_e_integral(leb, PowerFunction(1.0, 2.0), 0.5))
+    assert got == pytest.approx(1.0, abs=1e-9)
 
 
 def test_declared_tolerance_is_honored_on_continuous_cases():

@@ -8,7 +8,6 @@ import pytest
 
 from fuzzyint import (
     CappedFunction,
-    ConstFunction,
     DistortedLebesgue,
     FiniteFunction,
     FiniteMonotoneMeasure,
@@ -21,7 +20,6 @@ from fuzzyint import (
     affine,
     compose,
     counting_measure,
-    essinf,
     identity,
     power,
     survival,
@@ -206,45 +204,3 @@ def test_transform_pulls_levels_back():
     prof_tr = survival(leb, TransformedFunction(base, tr))
     for t in (0.1, 0.3, 0.9):
         assert prof_tr.weak(tr.apply(t)) == pytest.approx(prof_base.weak(t), abs=1e-12)
-
-
-def test_profile_knows_exact_minimum():
-    leb = DistortedLebesgue(identity())
-    cases = [
-        (ConstFunction(0.4), 0.4),
-        (PowerFunction(0.5), 0.0),
-        (PwlFunction((0.0, 1.0), (0.4, 1.0)), 0.4),
-        (CappedFunction(PwlFunction((0.0, 1.0), (0.3, 0.9)), 0.6), 0.3),
-        (FlooredFunction(PowerFunction(1.0), 0.25), 0.25),
-        (TransformedFunction(PowerFunction(2.0), power(0.5)), 0.0),
-        (LatticeCombo("max", (PowerFunction(1.0), ConstFunction(0.2))), 0.2),
-    ]
-    for f, want in cases:
-        assert survival(leb, f).full_sup == pytest.approx(want, abs=0.0)
-    assert survival(counting_measure(3), FiniteFunction((0.4, 0.2, 0.9))).full_sup == 0.2
-
-
-# ---------------------------------------------------------------------------
-# essential infimum
-# ---------------------------------------------------------------------------
-
-
-def test_essinf_finite_is_smallest_value_without_null_sets():
-    m = counting_measure(3, normalized=True)
-    assert essinf(m, FiniteFunction((0.4, 0.7, 0.9))) == 0.4
-
-
-def test_essinf_skips_null_elements():
-    # element 1 carries no measure, so the infimum ignores f there
-    m = FiniteMonotoneMeasure(2, (0.0, 1.0, 0.0, 1.0))
-    assert essinf(m, FiniteFunction((0.7, 0.2))) == 0.7
-
-
-def test_essinf_exact_on_interval_carrier():
-    leb = DistortedLebesgue(identity())
-    # sqrt vanishes only at 0; the answer must be exactly 0, with no
-    # bisection residue from the level length rounding to 1
-    assert essinf(leb, TransformedFunction(PowerFunction(2.0), power(0.5))) == 0.0
-    assert essinf(leb, PwlFunction((0.0, 1.0), (0.4, 1.0))) == 0.4
-    assert essinf(leb, ConstFunction(0.4)) == 0.4
-    assert essinf(DistortedLebesgue(power(2.0)), FlooredFunction(PowerFunction(1.0), 0.3)) == 0.3
