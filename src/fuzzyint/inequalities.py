@@ -16,6 +16,14 @@ families are the power families at arity 2 with H = ⋆ (kind
 reverses derive xi and omega from p, q, s or k, and star_general and the
 seminormed families read all six.
 
+The aggregations min, max and prod, and H = ⋆, are one computation: a
+left fold of a BinaryOp ``H.op`` over the arguments.  The right side
+folds the op's scalar kernel, the scalar condition folds
+:meth:`GridEval.op`, and the combined integrand ``H(f_1, ..., f_n)``
+folds ``pointwise_combine(H.op, ·, ·)``, so the arithmetic of those
+aggregations lives in :mod:`~fuzzyint.ops` alone.  Only the weighted
+mean and the table aggregation compute here.
+
 A verdict evaluates the sides with the scalar integral; the scalar
 sufficient condition of a family (the per-threshold inequality coupling
 the aggregation to the integral op) evaluates the same sides on a finite
@@ -35,7 +43,7 @@ it.  Every condition clamps the arguments of an op, ⋆ included, to that
 op's cap before evaluating it.  Powers and transforms on a grid are the
 scalar functions applied to each distinct value, so they are bit for bit
 the ones the verdicts use.  The threshold optimiser and the verdicts
-themselves keep the scalar ``eval_op``.
+themselves keep the scalar op kernels.
 """
 
 from __future__ import annotations
@@ -67,8 +75,6 @@ from .ops import (
     prod_op,
     sum_op,
     verify_op_properties,
-    xmul,
-    xmul_grid,
 )
 from .functions import (
     IDENTITY,
@@ -129,15 +135,22 @@ _SCALAR_SLACK = 1e-12
 # ---------------------------------------------------------------------------
 
 
+# the BinaryOp each named aggregation folds, built from its kind
+_FOLDS = {"min": min_op, "max": max_op, "prod": prod_op}
+
+
 @dataclass(frozen=True)
 class NaryOp:
     """Aggregation H of n nonnegative arguments.
 
-    Kinds: componentwise min, max, product, weighted arithmetic mean, an
-    explicit table over a small grid with nearest-node lookup, or
-    ``binary``: the pointwise operation op of two arguments, each clamped
-    to op.cap.  The binary kind carries the two-function families through
-    the n-ary core; it is internal and has no JSON form.
+    The kinds min, max, prod and ``binary`` are one computation: a left
+    fold of the BinaryOp ``op`` over the arguments, each clamped to
+    op.cap.  For min, max and prod, op is min_op(), max_op() or prod_op(),
+    built from the kind.  For ``binary`` it is the pointwise operation ⋆
+    of two arguments, which carries the two-function families through the
+    n-ary core; that kind is internal and has no JSON form.  The other two
+    kinds have no op: a weighted arithmetic mean, and an explicit table
+    over a small grid with nearest-node lookup.
     """
 
     kind: str
@@ -154,6 +167,10 @@ class NaryOp:
             raise InputError("aggregation needs arity >= 1")
         if self.kind == "binary" and (self.arity != 2 or self.op is None):
             raise InputError("binary aggregation needs arity 2 and an operation")
+        if self.kind in _FOLDS:
+            object.__setattr__(self, "op", _FOLDS[self.kind]())
+        elif self.kind != "binary" and self.op is not None:
+            raise InputError(f"a {self.kind} aggregation takes no operation")
         if self.kind == "wmean":
             if len(self.weights) != self.arity:
                 raise InputError("weighted mean needs one weight per argument")
@@ -167,17 +184,11 @@ class NaryOp:
     def __call__(self, args: Sequence[float]) -> float:
         if len(args) != self.arity:
             raise InputError(f"aggregation expects {self.arity} arguments")
-        if self.kind == "binary":
-            cap = self.op.cap
-            return eval_op(self.op, min(args[0], cap), min(args[1], cap))
-        if self.kind == "min":
-            return min(args)
-        if self.kind == "max":
-            return max(args)
-        if self.kind == "prod":
-            out = 1.0
-            for a in args:
-                out = xmul(out, a)
+        if self.op is not None:
+            kernel, cap = self.op.kernel, self.op.cap
+            out = min(args[0], cap)
+            for a in args[1:]:
+                out = kernel(out, min(a, cap))
             return out
         if self.kind == "wmean":
             total = sum(self.weights)
@@ -190,22 +201,16 @@ class NaryOp:
     def eval_grid(self, g: GridEval, args: Sequence[np.ndarray]) -> np.ndarray:
         """H over broadcast arrays, element for element equal to __call__.
 
-        The binary kind evaluates its op through g, so its errors are
-        replayed in the order of the grid's loop.
+        The fold evaluates op through g, so its errors are replayed in the
+        order of the grid's loop.
         """
-        if self.kind == "binary":
-            cap = self.op.cap
-            return g.op(self.op, min_grid(args[0], cap), min_grid(args[1], cap))
-        if self.kind in ("min", "max"):
-            pick = min_grid if self.kind == "min" else max_grid
+        op = self.op
+        if op is not None:
+            if op.cap < INF:  # a clamp to inf changes no value
+                args = [min_grid(a, op.cap) for a in args]
             out = args[0]
             for a in args[1:]:
-                out = pick(out, a)
-            return out
-        if self.kind == "prod":
-            out = 1.0
-            for a in args:
-                out = xmul_grid(out, a)
+                out = g.op(op, out, a)
             return out
         if self.kind == "wmean":
             total = sum(self.weights)
@@ -250,14 +255,11 @@ def _tuples(nodes: Sequence[float], k: int):
             yield (head,) + rest
 
 
-def check_H_boundedness(
-    H: NaryOp, mode: str, grid: Sequence[float] | None = None
-) -> PropertyReport:
-    """Grid check of H <= min (mode 'above_by_min') or H >= max."""
+def check_H_boundedness(H: NaryOp, mode: str) -> PropertyReport:
+    """Grid check of H <= min (mode 'above_by_min') or H >= max on 0, 0.1, ..., 1."""
     if mode not in ("above_by_min", "below_by_max"):
         raise InputError("mode must be 'above_by_min' or 'below_by_max'")
-    if grid is None:
-        grid = [i / 10.0 for i in range(11)]
+    grid = [i / 10.0 for i in range(11)]
     name = f"bounded_{mode}"
     for args in _tuples(tuple(grid), H.arity):
         v = H(args)
@@ -624,7 +626,6 @@ def check_scalar_condition(
     psi: Sequence[MonotoneTransform] = (),
     phi: Sequence[MonotoneTransform] = (),
     exponents=None,
-    grid_n: int | None = None,
     hi_data: float | None = None,
     hi_measure: float | None = None,
 ) -> PropertyReport:
@@ -636,11 +637,10 @@ def check_scalar_condition(
     included, is clamped to that op's cap before evaluation.  The grid
     spans [0, hi_data] for function values and [0, hi_measure] for
     measure values, defaulting to the op domain (capped at 2 when
-    unbounded).  grid_n, when given, is the node count per axis and must
-    be at least 2.  Slack 1e-12 absorbs float noise from powers.
+    unbounded).  A single-function grid has 21 nodes per axis, the others
+    30000 ** (1 / (arity + 1)) rounded and kept within 5 to 13.  Slack
+    1e-12 absorbs float noise from powers.
     """
-    if grid_n is not None and grid_n < 2:
-        raise InputError("grid needs at least 2 nodes")
     ex = dict(_freeze_exponents(exponents))
     cap = op.cap if star is None else min(op.cap, star.cap)
     if hi_data is None:
@@ -648,15 +648,13 @@ def check_scalar_condition(
     if hi_measure is None:
         hi_measure = 1.0 if op.cap == 1.0 else 2.0
     if condition_id in SINGLE_FUNCTION_IDS:
-        n = 21 if grid_n is None else grid_n
-        dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
+        dnodes, cnodes = _range_nodes(hi_data, 21), _range_nodes(hi_measure, 21)
         exps = _lyapunov_exponents(ex) if condition_id == "lyapunov" else None
         check = _single_condition(condition_id, op, tuple(phi), exps, dnodes, cnodes)
     elif condition_id in TWO_FUNCTION_IDS or condition_id in NARY_IDS:
         arity = 2 if condition_id in TWO_FUNCTION_IDS or H is None else H.arity
         H, xi, om = _nary_shape(condition_id, star, H, ex, arity)
-        per_axis = max(5, int(round(30000 ** (1.0 / (H.arity + 1)))))
-        n = min(per_axis, 13) if grid_n is None else grid_n
+        n = min(13, max(5, int(round(30000 ** (1.0 / (H.arity + 1))))))
         dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
         check = _nary_condition(
             condition_id,
@@ -688,9 +686,6 @@ def _cached(key, thunk):
 # integral routing and combination
 # ---------------------------------------------------------------------------
 
-_PMIN = min_op()
-_PMAX = max_op()
-_PPROD = prod_op()
 _PSUM = sum_op()
 
 
@@ -706,25 +701,30 @@ def _integral(inst: TheoremInstance, t: MonotoneTransform, f) -> IntegralResult:
 
 
 def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
+    """H(f_1, ..., f_n) pointwise, as one function on the functions' carrier.
+
+    A kind with an op folds ``pointwise_combine(H.op, ·, ·)`` over the
+    functions, as H folds op over its arguments, but without the clamp to
+    op.cap: a value beyond it is rejected.  On a finite carrier a weighted
+    mean or a table is evaluated row by row; on the unit interval a
+    weighted mean is a sum of scaled functions, and a table is rejected.
+    """
     # imported per call so a wrapper installed on the module is seen
     from .functions import pointwise_combine
 
-    if H.kind == "binary":
-        return pointwise_combine(H.op, *funcs)
-    if all(isinstance(f, FiniteFunction) for f in funcs):
-        n = funcs[0].n
-        if any(f.n != n for f in funcs):
+    finite = all(isinstance(f, FiniteFunction) for f in funcs)
+    if finite:
+        if any(f.n != funcs[0].n for f in funcs):
             raise InputError("carrier size mismatch")
-        rows = tuple(H(tuple(f.values[i] for f in funcs)) for i in range(n))
-        return FiniteFunction(rows)
-    if not all(is_continuous(f) for f in funcs):
+    elif not all(is_continuous(f) for f in funcs):
         raise InputError("cannot mix carriers in an aggregation")
-    if H.kind in ("min", "max", "prod"):
-        star = {"min": _PMIN, "max": _PMAX, "prod": _PPROD}[H.kind]
+    if H.op is not None:
         out = funcs[0]
         for f in funcs[1:]:
-            out = pointwise_combine(star, out, f)
+            out = pointwise_combine(H.op, out, f)
         return out
+    if finite:
+        return FiniteFunction(tuple(H(row) for row in zip(*(f.values for f in funcs))))
     if H.kind == "wmean":
         total = sum(H.weights)
         from .functions import affine

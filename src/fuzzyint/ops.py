@@ -631,7 +631,6 @@ class PropertyReport:
 
     checks: tuple[CheckResult, ...]
     grid: dict = field(default_factory=dict)
-    note: str = "grid-verified"
 
     @property
     def passed(self) -> bool:
@@ -648,7 +647,7 @@ class PropertyReport:
             "passed": self.passed,
             "checks": [c.to_json() for c in self.checks],
             "grid": self.grid,
-            "note": self.note,
+            "note": "grid-verified",
         }
 
 
@@ -809,37 +808,33 @@ def verify_op_properties(
     return PropertyReport(checks=tuple(checks), grid=grid.describe())
 
 
-def check_domination(
-    dominant: BinaryOp, dominated: BinaryOp, grid: GridSpec | None = None
-) -> PropertyReport:
+def check_domination(dominant: BinaryOp, dominated: BinaryOp) -> PropertyReport:
     """Grid check of A(B(a,b), B(c,d)) >= B(A(a,c), A(b,d)).
 
-    The grid has four axes, which forces a coarse one; 21 nodes is the
-    default and the report records what was used.
+    The grid has four axes, which forces a coarse one: 21 nodes on the
+    common domain, and the report records it.
     """
-    if grid is None:
-        cap = min(dominant.cap, dominated.cap)
-        grid = GridSpec(cap=cap, n=21, hi=1.0 if cap == 1.0 else 2.0)
-    nodes = _thin(grid.nodes(), 21)
+    cap = min(dominant.cap, dominated.cap)
+    grid = GridSpec(cap=cap, n=21, hi=1.0 if cap == 1.0 else 2.0)
+    check = _check_domination(dominant, dominated, _thin(grid.nodes(), 21))
+    return PropertyReport(checks=(check,), grid=grid.describe())
+
+
+@np.errstate(all="ignore")
+def _check_domination(dominant: BinaryOp, dominated: BinaryOp, nodes) -> CheckResult:
     x = np.asarray(nodes, dtype=float)
     a, b = x[:, None, None, None], x[None, :, None, None]
     c, d = x[None, None, :, None], x[None, None, None, :]
     g = GridEval()
-    with np.errstate(all="ignore"):
-        left = g.op(dominant, g.op(dominated, a, b), g.op(dominated, c, d))
-        right = g.op(dominated, g.op(dominant, a, c), g.op(dominant, b, d))
-        hit = g.first(left < right - 1e-12)
-    if hit is not None:
-        return PropertyReport(
-            checks=(CheckResult("domination", False, tuple(nodes[i] for i in hit)),),
-            grid=grid.describe(),
-        )
-    return PropertyReport(checks=(CheckResult("domination", True),), grid=grid.describe())
+    left = g.op(dominant, g.op(dominated, a, b), g.op(dominated, c, d))
+    right = g.op(dominated, g.op(dominant, a, c), g.op(dominant, b, d))
+    hit = g.first(left < right - 1e-12)
+    if hit is None:
+        return CheckResult("domination", True)
+    return CheckResult("domination", False, tuple(nodes[i] for i in hit))
 
 
-def check_distributivity(
-    phi, star: BinaryOp, mode: str = "sub", grid: GridSpec | None = None
-) -> PropertyReport:
+def check_distributivity(phi, star: BinaryOp, mode: str = "sub") -> PropertyReport:
     """Grid check of phi(x star y) against phi(x) star phi(y).
 
     mode 'sub' demands phi(x star y) <= phi(x) star phi(y); 'super' the
@@ -847,8 +842,7 @@ def check_distributivity(
     """
     if mode not in ("sub", "super"):
         raise InputError("mode must be 'sub' or 'super'")
-    if grid is None:
-        grid = GridSpec(cap=star.cap, n=41, hi=1.0 if star.cap == 1.0 else 2.0)
+    grid = GridSpec(cap=star.cap, n=41, hi=1.0 if star.cap == 1.0 else 2.0)
     nodes = tuple(t for t in grid.nodes() if math.isfinite(t))
     name = f"{mode}distributive"
     for x in nodes:

@@ -498,24 +498,23 @@ def test_property_checks_match_loops_on_drawn_grids(op, cap, n, hi, extra, e):
     same(ref_neutral, ops._check_neutral, op, e, nodes)
 
 
-def _domination_check(dominant, dominated, spec):
-    return check_domination(dominant, dominated, spec).checks[0]
+def _domination_check(dominant, dominated):
+    return check_domination(dominant, dominated).checks[0]
 
 
 def test_domination_matches_loop_on_default_grid():
     for dominant, dominated in ((min_op(1.0), prod_op(1.0)), (prod_op(1.0), min_op(1.0))):
         nodes = ops._thin(GridSpec(cap=1.0, n=21, hi=1.0).nodes(), 21)
         want = outcome(ref_domination, dominant, dominated, nodes)
-        assert outcome(_domination_check, dominant, dominated, None) == want
+        assert outcome(_domination_check, dominant, dominated) == want
 
 
 @given(ops_st, ops_st, cap_st, st.integers(2, 7), quarter_st)
 @EXAMPLES
 def test_domination_matches_loop_on_drawn_grids(dominant, dominated, cap, n, hi):
-    spec = GridSpec(cap=cap, n=n, hi=hi)
-    nodes = ops._thin(spec.nodes(), 21)
+    nodes = ops._thin(GridSpec(cap=cap, n=n, hi=hi).nodes(), 21)
     want = outcome(ref_domination, dominant, dominated, nodes)
-    assert outcome(_domination_check, dominant, dominated, spec) == want
+    assert outcome(ops._check_domination, dominant, dominated, nodes) == want
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +596,3 @@ def test_nary_condition_matches_loop(op, case, reverse, hi_d, hi_m):
     tid, H, u, psi, xi, om, n = case
     args = (tid, op, H, u, psi, xi, om, reverse, grid(hi_d, n), grid(hi_m, n))
     same(ref_nary, ineq._nary_condition, *args)
-
-
-@pytest.mark.parametrize("grid_n", [0, 1])
-def test_grid_n_below_two_is_rejected(grid_n):
-    for tid, kw in (
-        ("chebyshev", {"star": min_op(1.0)}),
-        ("jensen", {"phi": (power(2.0),)}),
-        ("thm32", {"H": h_min(2)}),
-    ):
-        with pytest.raises(InputError, match="at least 2 nodes"):
-            check_scalar_condition(tid, min_op(1.0), grid_n=grid_n, **kw)
