@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from .ops import GridSpec, InputError, verify_op_properties
+from .ops import InputError, default_grid, verify_op_properties
 from .functions import UnsupportedError
 from .integrals import (
     DEFAULT_TOL,
@@ -118,9 +118,7 @@ def _cmd_check_op(args) -> int:
     props = None
     if args.properties:
         props = tuple(p.strip() for p in args.properties.split(",") if p.strip())
-    grid = None
-    if args.grid:
-        grid = GridSpec(cap=op.cap, n=args.grid, hi=1.0 if op.cap == 1.0 else 2.0)
+    grid = None if args.grid is None else default_grid(op, args.grid)
     report = verify_op_properties(op, properties=props, grid=grid)
     _emit(report.to_json())
     return 0 if report.passed else 1

@@ -35,12 +35,14 @@ when any fails, but both sides are always evaluated so
 hypothesis-violating regimes can be studied deliberately.
 
 Scalar conditions are cached per parameter set, since campaigns reuse
-them heavily.  Each grid is evaluated as arrays, one broadcast per step
-of the condition, through :class:`~fuzzyint.ops.GridEval`: the witness
-is the first failing node in the order of a loop over the grid, and an
-out-of-domain evaluation raises only where that loop would have reached
-it.  Every condition clamps the arguments of an op, ⋆ included, to that
-op's cap before evaluating it.  Powers and transforms on a grid are the
+them heavily.  A scalar condition, the bound of H by min or max and the
+measure contraction are each one :func:`~fuzzyint.ops.grid_check`: the
+grid is evaluated as arrays, one broadcast per step of the check, the
+witness is the first failing node in the order of a loop over the grid,
+and an out-of-domain evaluation raises only where that loop would have
+reached it.  The monotonicity of H and the exponent range are loops.
+Every condition clamps the arguments of an op, ⋆ included, to that op's
+cap before evaluating it.  Powers and transforms on a grid are the
 scalar functions applied to each distinct value, so they are bit for bit
 the ones the verdicts use.  The threshold optimiser and the verdicts
 themselves keep the scalar op kernels.
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -65,7 +67,8 @@ from .ops import (
     KIND_MIN,
     PropertyReport,
     check_table_nodes,
-    eval_op,
+    eval_op,  # not called here; perfbench/tracer.py counts calls at this binding
+    grid_check,
     max_grid,
     max_op,
     min_grid,
@@ -259,15 +262,16 @@ def check_H_boundedness(H: NaryOp, mode: str) -> PropertyReport:
     """Grid check of H <= min (mode 'above_by_min') or H >= max on 0, 0.1, ..., 1."""
     if mode not in ("above_by_min", "below_by_max"):
         raise InputError("mode must be 'above_by_min' or 'below_by_max'")
-    grid = [i / 10.0 for i in range(11)]
-    name = f"bounded_{mode}"
-    for args in _tuples(tuple(grid), H.arity):
-        v = H(args)
-        if mode == "above_by_min" and v > min(args) + _SCALAR_SLACK:
-            return PropertyReport((CheckResult(name, False, args),), {"n": len(grid)})
-        if mode == "below_by_max" and v < max(args) - _SCALAR_SLACK:
-            return PropertyReport((CheckResult(name, False, args),), {"n": len(grid)})
-    return PropertyReport((CheckResult(name, True),), {"n": len(grid)})
+    grid = tuple(i / 10.0 for i in range(11))
+
+    def fail(g, *xs):
+        v = H.eval_grid(g, xs)
+        if mode == "above_by_min":
+            return v > reduce(min_grid, xs) + _SCALAR_SLACK
+        return v < reduce(max_grid, xs) - _SCALAR_SLACK
+
+    check = grid_check(f"bounded_{mode}", (grid,) * H.arity, fail)
+    return PropertyReport((check,), {"n": len(grid)})
 
 
 def _check_H_nondecreasing(H: NaryOp, nodes: Sequence[float]) -> CheckResult:
@@ -549,13 +553,6 @@ def _range_nodes(hi: float, n: int) -> tuple[float, ...]:
     return tuple(hi * i / (n - 1) for i in range(n))
 
 
-def _axis(nodes: Sequence[float], axis: int, ndim: int) -> np.ndarray:
-    """nodes laid out along one axis of an ndim-axis grid."""
-    shape = [1] * ndim
-    shape[axis] = len(nodes)
-    return np.asarray(nodes, dtype=float).reshape(shape)
-
-
 def _tmap(g: GridEval, t, x):
     """t over a grid array; the identity leaves x as it is."""
     if t is IDENTITY:
@@ -574,47 +571,35 @@ def _fails(lhs, rhs, reverse: bool):
     return lhs < rhs - _SCALAR_SLACK
 
 
-@np.errstate(all="ignore")
 def _single_condition(tid: str, op: BinaryOp, phi, exps, dnodes, cnodes) -> CheckResult:
     if tid not in SINGLE_FUNCTION_IDS:
         raise InputError(f"no scalar condition for {tid}")
     sides = _single_sides(tid, phi, exps)
-    # node (a, c), visited in C order
-    a, c = _axis(dnodes, 0, 2), _axis(cnodes, 1, 2)
-    g = GridEval()
-    lhs, rhs = (_grid_side(g, op, a, c, inner, outer) for inner, outer in sides)
-    hit = g.first(_fails(lhs, rhs, tid in REVERSE_IDS))
-    if hit is None:
-        return CheckResult("scalar_condition", True)
-    return CheckResult("scalar_condition", False, (dnodes[hit[0]], cnodes[hit[1]]))
+
+    def fail(g, a, c):
+        lhs, rhs = (_grid_side(g, op, a, c, inner, outer) for inner, outer in sides)
+        return _fails(lhs, rhs, tid in REVERSE_IDS)
+
+    return grid_check("scalar_condition", (dnodes, cnodes), fail)
 
 
-@np.errstate(all="ignore")
 def _nary_condition(
     tid: str, op: BinaryOp, H: NaryOp, u, psi, xi, om, reverse: bool, dnodes, cnodes
 ) -> CheckResult:
     n = H.arity
     sides, pre = _nary_sides(tid, n, u, psi, xi, om)
-    # node (args..., c), visited in C order
-    args = [_axis(dnodes, i, n + 1) for i in range(n)]
-    c = _axis(cnodes, n, n + 1)
-    g = GridEval()
-    base = [_tmap(g, t, x) for t, x in zip(pre, args)]
-    lhs = _grid_side(g, op, H.eval_grid(g, base), c, *sides[0])
-    best = None
-    for i in range(n):
-        repl = _tmap(g, pre[i], _grid_side(g, op, args[i], c, *sides[i + 1]))
-        side = H.eval_grid(g, base[:i] + [repl] + base[i + 1 :])
-        if best is None:
-            best = side
-        else:
-            best = min_grid(best, side) if reverse else max_grid(best, side)
-    hit = g.first(_fails(lhs, best, reverse))
-    if hit is None:
-        return CheckResult("scalar_condition", True)
-    return CheckResult(
-        "scalar_condition", False, tuple(dnodes[i] for i in hit[:n]) + (cnodes[hit[n]],)
-    )
+
+    def fail(g, *xs):
+        args, c = xs[:n], xs[n]
+        base = [_tmap(g, t, x) for t, x in zip(pre, args)]
+        lhs = _grid_side(g, op, H.eval_grid(g, base), c, *sides[0])
+        rhs = []
+        for i in range(n):
+            repl = _tmap(g, pre[i], _grid_side(g, op, args[i], c, *sides[i + 1]))
+            rhs.append(H.eval_grid(g, base[:i] + [repl] + base[i + 1 :]))
+        return _fails(lhs, reduce(min_grid if reverse else max_grid, rhs), reverse)
+
+    return grid_check("scalar_condition", (dnodes,) * n + (cnodes,), fail)
 
 
 def check_scalar_condition(
@@ -762,10 +747,11 @@ def _contraction_check(op: BinaryOp, total: float) -> CheckResult:
         nodes = _range_nodes(1.0 if op.cap == 1.0 else 2.0, 41)
         if op.cap == INF:
             nodes += (INF,)
-        for b in nodes:
-            if eval_op(op, b, total) > b + _SCALAR_SLACK:
-                return CheckResult("measure_contraction", False, (b, total))
-        return CheckResult("measure_contraction", True)
+
+        def fail(g, b, m):
+            return g.op(op, b, m) > b + _SCALAR_SLACK
+
+        return grid_check("measure_contraction", (nodes, (total,)), fail)
 
     return _cached(("contraction", op, total), run)
 

@@ -210,31 +210,32 @@ def _finite_profile(m: FiniteMonotoneMeasure, f: FiniteFunction) -> SurvivalProf
     )
 
 
-def _pwl_level_lengths(f: PwlFunction, t: float) -> tuple[float, float]:
-    """Exact lengths of {f >= t} and {f > t}."""
-    weak_len = 0.0
-    strict_len = 0.0
+def _pwl_level_length(f: PwlFunction, t: float, strict: bool) -> float:
+    """Exact length of {f > t} if strict, else of {f >= t}.
+
+    A run of pieces that lie wholly in the set adds its length end to end,
+    x_end - x_start, so a set that covers [0, 1] measures exactly 1.  A
+    piece that crosses t adds the part of its width above t.
+    """
     xs, ys = f.xs, f.ys
+    length, start = 0.0, None
     for i in range(1, len(xs)):
-        x0, x1, y0, y1 = xs[i - 1], xs[i], ys[i - 1], ys[i]
-        dx = x1 - x0
-        if y0 == y1:
-            # flat piece: full length at or above t, nothing strictly above
-            if y0 >= t:
-                weak_len += dx
-            if y0 > t:
-                strict_len += dx
-            continue
+        y0, y1 = ys[i - 1], ys[i]
         lo, hi = (y0, y1) if y0 < y1 else (y1, y0)
-        if t <= lo:
-            weak_len += dx
-            strict_len += dx
-        elif t < hi:
-            frac = (hi - t) / (hi - lo)
-            weak_len += dx * frac
-            strict_len += dx * frac
-        # t >= hi: at most the single endpoint, zero length
-    return weak_len, strict_len
+        # a flat piece at t lies in {f >= t} only; a sloped one meets t at
+        # one end at most, a set of length zero
+        if lo > t or lo == t and (y0 != y1 or not strict):
+            if start is None:
+                start = xs[i - 1]
+            continue
+        if start is not None:
+            length += xs[i - 1] - start
+            start = None
+        if t < hi:
+            length += (xs[i] - xs[i - 1]) * ((hi - t) / (hi - lo))
+    if start is not None:
+        length += xs[-1] - start
+    return length
 
 
 def _lattice_level(kind: str, levels: tuple) -> Callable[[float], float]:
@@ -299,10 +300,10 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
     if isinstance(f, PwlFunction):
 
         def weak(t: float) -> float:
-            return g(_pwl_level_lengths(f, t)[0])
+            return g(_pwl_level_length(f, t, False))
 
         def strict(t: float) -> float:
-            return g(_pwl_level_lengths(f, t)[1])
+            return g(_pwl_level_length(f, t, True))
 
         t_max = f.max_value()
         cands = tuple(sorted(set(f.ys)))

@@ -19,13 +19,16 @@ threshold optimiser hold the kernel itself.  The kernel stays scalar on
 purpose: the optimiser and the pointwise paths evaluate one pair at a
 time, where numpy's per-call overhead would cost several times the
 evaluation.  :func:`eval_grid` evaluates op over broadcast float arrays
-with one array kernel per kind, and grid certificates go through
+with one array kernel per kind.  Grid certificates go through
 :class:`GridEval`, which evaluates a whole grid at once yet reports the
 same first witness, and raises the same error, as a loop over the nodes
-in C order would.  Powers and transforms in grid checks are scalar
-``**`` applied to the distinct values of an array: numpy's SIMD
-``np.power`` can differ from ``**`` in the last ulp, and that is enough
-to flip a comparison at the 1e-12 slack.
+in C order would.  A certificate on a product grid is one call of
+:func:`grid_check`, which names the first failing node; only the
+monotonicity, annihilator and neutral checks, whose witnesses are not
+grid nodes, drive a :class:`GridEval` themselves.  Powers and transforms
+in grid checks are scalar ``**`` applied to the distinct values of an
+array: numpy's SIMD ``np.power`` can differ from ``**`` in the last ulp,
+and that is enough to flip a comparison at the 1e-12 slack.
 """
 
 from __future__ import annotations
@@ -667,9 +670,30 @@ def _differ(x, y):
     return (x != y) & ~(np.abs(x - y) <= _GRID_SLACK)
 
 
-def _pair_axes(nodes: Sequence[float]):
-    x = np.asarray(nodes, dtype=float)
-    return x[:, None], x[None, :]
+@np.errstate(all="ignore")
+def grid_check(
+    name: str, axes: Sequence[Sequence[float]], fail: Callable[..., np.ndarray], detail: str = ""
+) -> CheckResult:
+    """The certificate name on the product grid of axes, as its loop would give it.
+
+    The loop visits the nodes ``(axes[0][i_0], ..., axes[k][i_k])`` in C
+    order.  ``fail(g, *xs)`` gets a :class:`GridEval` and each axis laid
+    out along its own array axis, and returns the mask of failing nodes
+    on the full grid.  The witness is the first failing node, as a tuple
+    of axis values; an error raises where the loop would have met it.  A
+    pass carries detail.
+    """
+    k = len(axes)
+    xs = []
+    for i, nodes in enumerate(axes):
+        shape = [1] * k
+        shape[i] = len(nodes)
+        xs.append(np.asarray(nodes, dtype=float).reshape(shape))
+    g = GridEval()
+    hit = g.first(fail(g, *xs))
+    if hit is None:
+        return CheckResult(name, True, detail=detail)
+    return CheckResult(name, False, tuple(nodes[i] for nodes, i in zip(axes, hit)))
 
 
 def _mirrored(x: np.ndarray, y):
@@ -680,10 +704,10 @@ def _mirrored(x: np.ndarray, y):
 
 @np.errstate(all="ignore")
 def _check_nondecreasing(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
-    col, row = _pair_axes(nodes)
+    col = np.asarray(nodes, dtype=float)[:, None]
     g = GridEval()
     # first sweep: b outer, a inner, so m[i, k] = op(nodes[k], nodes[i])
-    m = g.op(op, row, col)
+    m = g.op(op, col.T, col)
     drop = np.zeros(m.shape, dtype=bool)
     drop[:, 1:] = m[:, 1:] < m[:, :-1] - _GRID_SLACK
     hit = g.first(drop)
@@ -724,50 +748,46 @@ def _check_neutral(op: BinaryOp, e: float, nodes: Sequence[float]) -> CheckResul
     return CheckResult(name, False, (a, e) if hit[1] == 0 else (e, a))
 
 
-@np.errstate(all="ignore")
 def _check_bounded_by_min(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
-    a, b = _pair_axes(nodes)
-    g = GridEval()
-    hit = g.first(g.op(op, a, b) > min_grid(a, b) + _GRID_SLACK)
-    if hit is None:
-        return CheckResult(FLAG_BOUNDED_BY_MIN, True)
-    return CheckResult(FLAG_BOUNDED_BY_MIN, False, (nodes[hit[0]], nodes[hit[1]]))
+    def fail(g, a, b):
+        return g.op(op, a, b) > min_grid(a, b) + _GRID_SLACK
+
+    return grid_check(FLAG_BOUNDED_BY_MIN, (nodes, nodes), fail)
 
 
-@np.errstate(all="ignore")
 def _check_bounded_by_max(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
-    a, b = _pair_axes(nodes)
-    g = GridEval()
-    hit = g.first(g.op(op, a, b) < max_grid(a, b) - _GRID_SLACK)
-    if hit is None:
-        return CheckResult(FLAG_BOUNDED_BY_MAX, True)
-    return CheckResult(FLAG_BOUNDED_BY_MAX, False, (nodes[hit[0]], nodes[hit[1]]))
+    def fail(g, a, b):
+        return g.op(op, a, b) < max_grid(a, b) - _GRID_SLACK
+
+    return grid_check(FLAG_BOUNDED_BY_MAX, (nodes, nodes), fail)
 
 
-@np.errstate(all="ignore")
 def _check_commutative(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
-    a, b = _pair_axes(nodes)
-    g = GridEval()
-    ab = g.op(op, a, b)
-    hit = g.first(_differ(ab, g.op(op, b, a)))
-    if hit is None:
-        return CheckResult(FLAG_COMMUTATIVE, True)
-    return CheckResult(FLAG_COMMUTATIVE, False, (nodes[hit[0]], nodes[hit[1]]))
+    def fail(g, a, b):
+        return _differ(g.op(op, a, b), g.op(op, b, a))
+
+    return grid_check(FLAG_COMMUTATIVE, (nodes, nodes), fail)
 
 
-@np.errstate(all="ignore")
 def _check_associative(op: BinaryOp, nodes: Sequence[float]) -> CheckResult:
     # triples grow fast; thin to keep the check circa 20k evaluations
     thin = _thin(nodes, 26)
-    x = np.asarray(thin, dtype=float)
-    a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
-    g = GridEval()
-    left = g.op(op, g.op(op, a, b), c)
-    right = g.op(op, a, g.op(op, b, c))
-    hit = g.first(_differ(left, right))
-    if hit is None:
-        return CheckResult(FLAG_ASSOCIATIVE, True, detail=f"thinned to {len(thin)} nodes")
-    return CheckResult(FLAG_ASSOCIATIVE, False, tuple(thin[i] for i in hit))
+
+    def fail(g, a, b, c):
+        return _differ(g.op(op, g.op(op, a, b), c), g.op(op, a, g.op(op, b, c)))
+
+    return grid_check(FLAG_ASSOCIATIVE, (thin,) * 3, fail, f"thinned to {len(thin)} nodes")
+
+
+_PROPERTY_CHECKS = {
+    FLAG_NONDECREASING: _check_nondecreasing,
+    FLAG_ANNIHILATOR: _check_annihilator,
+    FLAG_NEUTRAL: lambda op, nodes: _check_neutral(op, op.neutral, nodes),
+    FLAG_BOUNDED_BY_MIN: _check_bounded_by_min,
+    FLAG_BOUNDED_BY_MAX: _check_bounded_by_max,
+    FLAG_COMMUTATIVE: _check_commutative,
+    FLAG_ASSOCIATIVE: _check_associative,
+}
 
 
 def verify_op_properties(
@@ -787,24 +807,10 @@ def verify_op_properties(
     props = tuple(properties) if properties is not None else tuple(sorted(op.declared_flags))
     checks = []
     for p in props:
-        if p == FLAG_NONDECREASING:
-            checks.append(_check_nondecreasing(op, nodes))
-        elif p == FLAG_ANNIHILATOR:
-            checks.append(_check_annihilator(op, nodes))
-        elif p == FLAG_NEUTRAL:
-            checks.append(_check_neutral(op, op.neutral, nodes))
-        elif p.startswith("neutral="):
-            checks.append(_check_neutral(op, float(p.split("=", 1)[1]), nodes))
-        elif p == FLAG_BOUNDED_BY_MIN:
-            checks.append(_check_bounded_by_min(op, nodes))
-        elif p == FLAG_BOUNDED_BY_MAX:
-            checks.append(_check_bounded_by_max(op, nodes))
-        elif p == FLAG_COMMUTATIVE:
-            checks.append(_check_commutative(op, nodes))
-        elif p == FLAG_ASSOCIATIVE:
-            checks.append(_check_associative(op, nodes))
-        else:
+        check = _PROPERTY_CHECKS.get(p)
+        if check is None:
             raise InputError(f"unknown property {p!r}")
+        checks.append(check(op, nodes))
     return PropertyReport(checks=tuple(checks), grid=grid.describe())
 
 
@@ -820,18 +826,13 @@ def check_domination(dominant: BinaryOp, dominated: BinaryOp) -> PropertyReport:
     return PropertyReport(checks=(check,), grid=grid.describe())
 
 
-@np.errstate(all="ignore")
 def _check_domination(dominant: BinaryOp, dominated: BinaryOp, nodes) -> CheckResult:
-    x = np.asarray(nodes, dtype=float)
-    a, b = x[:, None, None, None], x[None, :, None, None]
-    c, d = x[None, None, :, None], x[None, None, None, :]
-    g = GridEval()
-    left = g.op(dominant, g.op(dominated, a, b), g.op(dominated, c, d))
-    right = g.op(dominated, g.op(dominant, a, c), g.op(dominant, b, d))
-    hit = g.first(left < right - 1e-12)
-    if hit is None:
-        return CheckResult("domination", True)
-    return CheckResult("domination", False, tuple(nodes[i] for i in hit))
+    def fail(g, a, b, c, d):
+        left = g.op(dominant, g.op(dominated, a, b), g.op(dominated, c, d))
+        right = g.op(dominated, g.op(dominant, a, c), g.op(dominant, b, d))
+        return left < right - 1e-12
+
+    return grid_check("domination", (nodes,) * 4, fail)
 
 
 def check_distributivity(phi, star: BinaryOp, mode: str = "sub") -> PropertyReport:

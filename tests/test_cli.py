@@ -16,6 +16,7 @@ from fuzzyint import (
     min_op,
     op_to_json,
     probsum_op,
+    smallest_op,
 )
 from fuzzyint.cli import main
 
@@ -364,6 +365,29 @@ def test_check_op_custom_properties_and_grid(tmp_path, capsys):
     assert code == 0
     names = {c["name"] for c in json.loads(out)["checks"]}
     assert names == {"commutative", "associative"}
+
+
+def test_check_op_grid_keeps_the_neutral_node(tmp_path, capsys):
+    path = write(tmp_path, "op.json", op_to_json(smallest_op(0.5)))
+    code, out, _ = run_cli(capsys, "check-op", "--op", path, "--grid", "10")
+    assert code == 0
+    grid = json.loads(out)["grid"]
+    assert (grid["n"], grid["hi"], grid["extra"]) == (10, None, [0.5])
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("--grid", "0"), "grid needs at least 2 nodes"),
+        (("--properties", "neutral=abc"), "unknown property 'neutral=abc'"),
+    ],
+    ids=["grid-0", "neutral-value"],
+)
+def test_check_op_bad_arguments_exit_2(tmp_path, capsys, argv, error):
+    path = write(tmp_path, "op.json", op_to_json(probsum_op()))
+    code, out, err = run_cli(capsys, "check-op", "--op", path, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": error}
 
 
 def test_fixture_command_reports_all_checks(capsys):

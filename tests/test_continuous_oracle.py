@@ -324,14 +324,15 @@ def test_closed_forms_lie_in_the_sandwich(name):
     assert lo - SLACK <= want <= hi + SLACK
 
 
-# Drawn cases the package misses; each is outside its sandwich by far more
-# than SLACK.  The first two pull thresholds below 0.063 back to 0, the
-# candidate of f's flat zero piece, so the level counts that piece.  The
-# third sums the piece lengths of {f >= 0.05} to 0.9999999999999999, and
-# the drastic op, which needs a level of exactly 1, gives 0.  In the last
-# two the optimum is a peak narrower than the spacing of the search's
-# seeds, 0.0044 apart: lukasiewicz is positive only for t below about
-# 0.0012, and luk_conorm drops under 1 only for t within about 0.0013 of 1.
+# Drawn cases the package missed; all but drastic-full-level are still
+# outside their sandwiches by far more than SLACK.  The first two pull
+# thresholds below 0.063 back to 0, the candidate of f's flat zero piece, so
+# the level counts that piece.  In the third, {f >= 0.05} is all of [0, 1],
+# and the drastic op reaches 0.05 only if that level measures exactly 1, not
+# 0.9999999999999999.  In the last two the optimum is a peak narrower than
+# the spacing of the search's seeds, 0.0044 apart: lukasiewicz is positive
+# only for t below about 0.0012, and luk_conorm drops under 1 only for t
+# within about 0.0013 of 1.
 FLAT_ZERO = TransformedFunction(PwlFunction((0.0, 0.05, 1.0), (0.55, 0.0, 0.0)), power(0.1))
 DRAWN_MISSES = {
     "transformed-flat-zero-min": (min_op(1.0), power(1.0), FLAT_ZERO),
@@ -346,8 +347,13 @@ DRAWN_MISSES = {
 }
 
 
-@pytest.mark.xfail(strict=True, reason="the package's integral lies outside the sandwich")
-@pytest.mark.parametrize("name", DRAWN_MISSES)
+OUTSIDE = pytest.mark.xfail(strict=True, reason="the package's integral lies outside the sandwich")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n if n == "drastic-full-level" else pytest.param(n, marks=OUTSIDE) for n in DRAWN_MISSES],
+)
 def test_drawn_miss_meets_the_sandwich(name):
     op, g, f = DRAWN_MISSES[name]
     reverse = op in REVERSE_OPS

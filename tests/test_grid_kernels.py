@@ -596,3 +596,54 @@ def test_nary_condition_matches_loop(op, case, reverse, hi_d, hi_m):
     tid, H, u, psi, xi, om, n = case
     args = (tid, op, H, u, psi, xi, om, reverse, grid(hi_d, n), grid(hi_m, n))
     same(ref_nary, ineq._nary_condition, *args)
+
+
+# ---------------------------------------------------------------------------
+# aggregation bounds and measure contraction
+# ---------------------------------------------------------------------------
+
+
+def ref_H_boundedness(H, mode):
+    grid = [i / 10.0 for i in range(11)]
+    name = f"bounded_{mode}"
+    for args in ineq._tuples(tuple(grid), H.arity):
+        v = ref_H(H, args)
+        if mode == "above_by_min" and v > min(args) + SLACK:
+            return ops.PropertyReport((CheckResult(name, False, args),), {"n": len(grid)})
+        if mode == "below_by_max" and v < max(args) - SLACK:
+            return ops.PropertyReport((CheckResult(name, False, args),), {"n": len(grid)})
+    return ops.PropertyReport((CheckResult(name, True),), {"n": len(grid)})
+
+
+@given(
+    st.sampled_from((2, 3)).flatmap(aggregation_st),
+    st.sampled_from(("above_by_min", "below_by_max")),
+)
+@EXAMPLES
+def test_H_boundedness_matches_loop(H, mode):
+    same(ref_H_boundedness, ineq.check_H_boundedness, H, mode)
+
+
+def ref_contraction(op, total):
+    nodes = grid(1.0 if op.cap == 1.0 else 2.0, 41)
+    if op.cap == math.inf:
+        nodes += (math.inf,)
+    for b in nodes:
+        if eval_op(op, b, total) > b + SLACK:
+            return CheckResult("measure_contraction", False, (b, total))
+    return CheckResult("measure_contraction", True)
+
+
+def uncached_contraction(op, total):
+    ineq._condition_cache.clear()
+    return ineq._contraction_check(op, total)
+
+
+# totals above a cap of 1, and nan, make every evaluation raise
+total_st = st.one_of(quarter_st, st.sampled_from((0.0, 0.3, math.inf, math.nan)))
+
+
+@given(ops_st, total_st)
+@EXAMPLES
+def test_contraction_matches_loop(op, total):
+    same(ref_contraction, uncached_contraction, op, total)
