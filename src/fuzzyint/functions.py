@@ -547,7 +547,7 @@ def make_comonotone_system(seed, n: int, k: int, scale: str = "unit"):
             vals = vals * (0.5 + 4.0 * rng.random())
         elif scale != "unit":
             raise InputError("scale must be 'unit' or 'extended'")
-        out.append(FiniteFunction(tuple(float(v) for v in vals)))
+        out.append(FiniteFunction(tuple(vals.tolist())))
     return out
 
 

@@ -1,13 +1,19 @@
 """Deterministic campaigns: generation, falsification, fixture reproduction.
 
-A campaign is fully described by its config; trial i draws from a Philox
-stream jumped i times, so any reported violation can be regenerated in
-isolation from (config, trial_index) alone.  Reports are deterministic
-line-delimited JSON with no timestamps: same config, same bytes.
+A campaign is fully described by its config; trial i draws from its own
+Philox stream, addressed by counter: key = seed and counter = i * 2**128
+mod 2**256, which is the stream ``Philox(key=seed).jumped(i)`` without the
+jump.  So any reported violation can be regenerated in isolation from
+(config, trial_index) alone.  Work that is the same for every trial (the
+popcount order of an n-point random table, a campaign's verified op
+pools) is done once per process, and never at import.  Reports are
+deterministic line-delimited JSON with no timestamps: same config, same
+bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,7 +42,9 @@ from .inequalities import (
     InequalityVerdict,
     NaryOp,
     TheoremInstance,
+    _cached,
     _integral,
+    _op_report,
     h_min,
     verify,
 )
@@ -197,7 +205,19 @@ def _json_bool(v, name: str) -> bool:
 
 
 def _rng_for(seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(trial_index))
+    # jumped(i) adds i * 2**128 to the 256-bit counter, wrapping
+    counter = (trial_index << 128) % 2**256
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+@functools.lru_cache(maxsize=None)
+def _cardinality_order(n: int) -> np.ndarray:
+    """The 2**n masks ordered by (cardinality, mask); read-only."""
+    masks = np.arange(1 << n)
+    cardinality = sum((masks >> b) & 1 for b in range(n))
+    order = np.argsort(cardinality, kind="stable")
+    order.flags.writeable = False
+    return order
 
 
 def random_table_measure(
@@ -211,10 +231,8 @@ def random_table_measure(
     """
     size = 1 << n
     draws = np.sort(rng.uniform(0.0, 1.0, size=size))
-    masks = np.arange(size)
-    cardinality = sum((masks >> b) & 1 for b in range(n))
     table = np.empty(size)
-    table[np.argsort(cardinality, kind="stable")] = draws
+    table[_cardinality_order(n)] = draws
     table[0] = 0.0
     if table[-1] <= 0.0:  # all-zero draws are measure-zero but stay safe
         table[-1] = 1.0
@@ -303,10 +321,8 @@ def _draw_measure(config: CampaignConfig, rng: np.random.Generator, n: int, norm
     return random_table_measure(rng, n, normalized=normalized)
 
 
-def _verified_pool(pool: Sequence[BinaryOp]) -> tuple[BinaryOp, ...]:
-    from .inequalities import _op_report
-
-    return tuple(op for op in pool if _op_report(op).passed)
+def _verified_pool(pool: tuple[BinaryOp, ...]) -> tuple[BinaryOp, ...]:
+    return _cached(("pool", pool), lambda: tuple(op for op in pool if _op_report(op).passed))
 
 
 def gen_instance(config: CampaignConfig, trial_index: int) -> TheoremInstance:

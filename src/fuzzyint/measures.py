@@ -10,14 +10,19 @@ The survival profile of a pair (m, f) packages the two level functions
     weak(t)   = m({f >= t})        strict(t) = m({f > t})
 
 together with the candidate thresholds where they can jump.  Both level
-functions are evaluated exactly: finite carriers by bitmask lookup, the
-continuous family by closed-form level-set lengths.
+functions are evaluated exactly.  On a finite carrier the profile is
+built in one descending sweep over the distinct values of f, OR-ing each
+value's points into a running mask and reading the table there, so
+above[k] = m({f >= c_k}); a query is then one binary search,
+weak(t) = above[#{c < t}] and strict(t) = above[#{c <= t}].  The
+continuous family uses closed-form level-set lengths.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -185,22 +190,24 @@ def _finite_profile(m: FiniteMonotoneMeasure, f: FiniteFunction) -> SurvivalProf
         raise InputError("function and measure disagree on carrier size")
     values = f.values
     table = m.table
+    # the points at each distinct value, then above[k] = m({f >= cands[k]})
+    # by one descending sweep; above[-1] is m(empty)
+    at = {}
+    for i, v in enumerate(values):
+        at[v] = at.get(v, 0) | 1 << i
+    cands = tuple(sorted(at))
+    above = [table[0]] * (len(cands) + 1)
+    mask = 0
+    for k in range(len(cands) - 1, -1, -1):
+        mask |= at[cands[k]]
+        above[k] = table[mask]
 
     def weak(t: float) -> float:
-        mask = 0
-        for i, v in enumerate(values):
-            if v >= t:
-                mask |= 1 << i
-        return table[mask]
+        return above[bisect_left(cands, t)]
 
     def strict(t: float) -> float:
-        mask = 0
-        for i, v in enumerate(values):
-            if v > t:
-                mask |= 1 << i
-        return table[mask]
+        return above[bisect_right(cands, t)]
 
-    cands = tuple(sorted(set(values)))
     return SurvivalProfile(
         weak=weak,
         strict=strict,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 import pytest
 
 from fuzzyint import (
@@ -21,6 +22,8 @@ from fuzzyint import (
     run_campaign,
     verify,
 )
+from fuzzyint.harness import _rng_for
+from fuzzyint.inequalities import _condition_cache
 from conftest import is_monotone_table
 
 
@@ -199,9 +202,37 @@ def test_config_json_round_trip():
     assert instance_digest(gen_instance(back, 3)) == instance_digest(gen_instance(cfg, 3))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**128 - 1])
+def test_trial_stream_is_the_stream_jumped_trial_times(seed):
+    # 2**128 and beyond wrap the 256-bit counter, as jumped does
+    for i in (0, 1, 5, 1000, 2**64 + 3, 2**70, 2**128 - 1, 2**128, 2**128 + 5):
+        ours = _rng_for(seed, i)
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        assert ours.uniform(size=8).tolist() == jumped.uniform(size=8).tolist()
+        assert ours.integers(0, 2**40, size=8).tolist() == jumped.integers(0, 2**40, size=8).tolist()
+
+
 # ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("respect", [True, False])
+def test_campaign_bytes_do_not_depend_on_warm_caches(respect):
+    # a respecting campaign draws from the verified pools; prod as the op
+    # and max as the star make both campaigns violate, shrink included
+    pool = (min_op(1.0), prod_op(1.0))
+    cfg = chebyshev_config(
+        trials=60, seed=9, respect_hypotheses=respect, op_pool=pool, star_pool=pool + (max_op(1.0),)
+    )
+    _condition_cache.clear()
+    cold = run_campaign(cfg).to_ndjson()
+    warm = run_campaign(cfg).to_ndjson()
+    _condition_cache.clear()
+    cleared = run_campaign(cfg).to_ndjson()
+    assert warm == cold
+    assert cleared == cold
+    assert '"record":"violation"' in cold
 
 
 def test_respecting_campaign_is_clean_and_exits_zero():

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyint import (
     CappedFunction,
@@ -24,7 +27,8 @@ from fuzzyint import (
     power,
     survival,
 )
-from conftest import is_monotone_table, random_finite_function, random_measure, rng_of
+from fuzzyint.harness import _cardinality_order, random_table_measure
+from conftest import is_monotone_table, random_measure, rng_of
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +121,65 @@ def brute_strict(m: FiniteMonotoneMeasure, vals, t: float) -> float:
     return m.table[mask]
 
 
-def test_finite_profile_matches_bitmask_oracle():
-    rng = rng_of(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        m = random_measure(rng, n)
-        f = random_finite_function(rng, n)
-        prof = survival(m, f)
-        assert prof.exact
-        probes = list(prof.candidates) + [0.0, 0.31, 0.77, 1.0]
-        for t in probes:
-            assert prof.weak(t) == brute_weak(m, f.values, t)
-            assert prof.strict(t) == brute_strict(m, f.values, t)
+# a coarse lattice makes ties common; -0.0 ties with 0.0
+profile_value_st = st.one_of(
+    st.sampled_from((-0.0, 0.0, 0.25, 0.5, 1.0, math.inf)), st.floats(0.0, 2.0)
+)
+
+
+@st.composite
+def finite_pair_st(draw):
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(profile_value_st, min_size=n, max_size=n))
+    m = random_measure(rng_of(draw(st.integers(0, 2**32 - 1))), n)
+    return m, FiniteFunction(tuple(values))
+
+
+@given(finite_pair_st())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_finite_profile_matches_bitmask_oracle(pair):
+    m, f = pair
+    prof = survival(m, f)
+    assert prof.exact
+    cands = prof.candidates
+    assert cands == tuple(sorted(set(f.values)))
+    mids = [a + (b - a) / 2.0 for a, b in zip(cands, cands[1:])]
+    above = [prof.t_max + 1.0, math.nextafter(prof.t_max, math.inf)]
+    for t in list(cands) + mids + [0.0, -1.0] + above:
+        assert prof.weak(t) == brute_weak(m, f.values, t)
+        assert prof.strict(t) == brute_strict(m, f.values, t)
+
+
+def _per_call_table_measure(rng, n, normalized=True):
+    """The reference table: the popcount order is computed on every call."""
+    size = 1 << n
+    draws = np.sort(rng.uniform(0.0, 1.0, size=size))
+    masks = np.arange(size)
+    cardinality = sum((masks >> b) & 1 for b in range(n))
+    table = np.empty(size)
+    table[np.argsort(cardinality, kind="stable")] = draws
+    table[0] = 0.0
+    if table[-1] <= 0.0:
+        table[-1] = 1.0
+    if normalized:
+        table /= table[-1]
+        table[-1] = 1.0
+    return FiniteMonotoneMeasure(n, tuple(table.tolist()))
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_random_table_matches_per_call_order(normalized):
+    for n in range(1, 13):
+        got = random_table_measure(rng_of(n), n, normalized=normalized)
+        assert got == _per_call_table_measure(rng_of(n), n, normalized=normalized)
+
+
+def test_cached_cardinality_order_is_read_only():
+    order = _cardinality_order(3)
+    assert order.tolist() == [0, 1, 2, 4, 3, 5, 6, 7]
+    with pytest.raises(ValueError):
+        order[0] = 7
+    assert _cardinality_order(3) is order
 
 
 def test_finite_profile_at_zero_and_beyond_max():
