@@ -953,10 +953,7 @@ def _verify_nary(inst: TheoremInstance, tol, skip_hypotheses: bool) -> Inequalit
     tid = inst.theorem_id
     n = len(inst.functions)
     H, xi, om = _nary_shape(tid, inst.star, inst.H, dict(inst.exponents), n)
-    sides, pre = _cached(
-        ("sides", tid, n, inst.u, inst.psi, xi, om),
-        lambda: _nary_sides(tid, n, inst.u, inst.psi, xi, om),
-    )
+    sides, pre = _nary_sides(tid, n, inst.u, inst.psi, xi, om)
     combined = _combine_nary(H, tuple(map(apply_transform, pre, inst.functions)))
     r_lhs = _integral(inst, sides[0][0], combined)
     lhs = _tapply(sides[0][1], r_lhs.value)

@@ -203,7 +203,8 @@ def _finite_profile(m: FiniteMonotoneMeasure, f: FiniteFunction) -> SurvivalProf
         above[k] = table[mask]
 
     def weak(t: float) -> float:
-        return above[bisect_left(cands, t)]
+        # bisect_left puts a NaN first; no value is >= NaN, so m(empty)
+        return above[bisect_left(cands, t)] if t == t else above[-1]
 
     def strict(t: float) -> float:
         return above[bisect_right(cands, t)]

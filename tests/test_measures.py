@@ -145,7 +145,8 @@ def test_finite_profile_matches_bitmask_oracle(pair):
     assert cands == tuple(sorted(set(f.values)))
     mids = [a + (b - a) / 2.0 for a, b in zip(cands, cands[1:])]
     above = [prof.t_max + 1.0, math.nextafter(prof.t_max, math.inf)]
-    for t in list(cands) + mids + [0.0, -1.0] + above:
+    # no value is >= or > NaN, so both levels read m(empty)
+    for t in list(cands) + mids + [0.0, -1.0, math.nan] + above:
         assert prof.weak(t) == brute_weak(m, f.values, t)
         assert prof.strict(t) == brute_strict(m, f.values, t)
 
