@@ -8,7 +8,8 @@ jump.  So any reported violation can be regenerated in isolation from
 popcount order of an n-point random table, a campaign's verified op
 pools) is done once per process, and never at import.  Reports are
 deterministic line-delimited JSON with no timestamps: same config, same
-bytes.
+bytes.  A violating instance is serialised once: its text gives both the
+digest and the streamed record's "instance".
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ from .inequalities import (
     verify,
 )
 from .serialize import (
+    RawJSON,
     _json_int,
     digest,
     dumps_17g,
@@ -455,11 +457,11 @@ def _drop_element(inst: TheoremInstance, j: int) -> TheoremInstance | None:
     n = m.n
     if n < 2:
         return None
-    low = (1 << j) - 1
+    # the masks without bit j, ascending, are every other block of 2**j
+    w = 1 << j
     table = []
-    for s in range(1 << (n - 1)):
-        mask = (s & low) | ((s & ~low) << 1)
-        table.append(m.table[mask])
+    for b in range(0, 1 << n, 2 * w):
+        table.extend(m.table[b : b + w])
     if not table[-1] > 0.0:
         return None
     if abs(m.total - 1.0) <= 1e-12:  # preserve the normalized class
@@ -469,18 +471,10 @@ def _drop_element(inst: TheoremInstance, j: int) -> TheoremInstance | None:
     funcs = tuple(
         FiniteFunction(f.values[:j] + f.values[j + 1 :]) for f in inst.functions
     )
-    # a restriction of a monotone table is monotone
-    return TheoremInstance.make(
-        inst.theorem_id,
-        inst.op,
-        FiniteMonotoneMeasure(n - 1, tuple(table)),
-        funcs,
-        star=inst.star,
-        H=inst.H,
-        u=inst.u,
-        psi=inst.psi,
-        phi=inst.phi,
-        exponents=dict(inst.exponents) or None,
+    # a restriction of a monotone table is monotone; every other field,
+    # exponents included, is already in its frozen form
+    return replace(
+        inst, measure=FiniteMonotoneMeasure(n - 1, tuple(table)), functions=funcs
     )
 
 
@@ -554,6 +548,8 @@ def run_campaign(
             hyp_pass += 1
         if not verdict.holds:
             inst_json = instance_to_json(inst)
+            # the one serialisation of the instance, digested and streamed
+            inst_text = RawJSON(dumps_17g(inst_json))
             shrunk_json = None
             shrunk_margin = None
             if config.shrink:
@@ -565,14 +561,14 @@ def run_campaign(
                 trial_index=i,
                 margin=verdict.margin,
                 hypotheses_met=verdict.hypotheses_met,
-                digest=digest(inst_json),
+                digest=digest(inst_text),
                 instance=inst_json,
                 shrunk=shrunk_json,
                 shrunk_margin=shrunk_margin,
             )
             violations.append(rec)
             if on_record is not None:
-                on_record(rec.to_json())
+                on_record(dict(rec.to_json(), instance=inst_text))
     report = CampaignReport(
         config=config,
         trials=config.trials,

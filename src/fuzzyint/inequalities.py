@@ -35,7 +35,9 @@ when any fails, but both sides are always evaluated so
 hypothesis-violating regimes can be studied deliberately.
 
 Scalar conditions are cached per parameter set, since campaigns reuse
-them heavily.  A scalar condition, the bound of H by min or max and the
+them heavily; the cache keeps its newest ``_CACHE_LIMIT`` entries, first
+in, first out, since drawn exponents make a new key on nearly every
+trial.  A scalar condition, the bound of H by min or max and the
 measure contraction are each one :func:`~fuzzyint.ops.grid_check`: the
 grid is evaluated as arrays, one broadcast per step of the check, the
 witness is the first failing node in the order of a loop over the grid,
@@ -51,6 +53,7 @@ themselves keep the scalar op kernels.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Iterable, Mapping, Sequence
@@ -544,7 +547,8 @@ def _tapply(t, v: float) -> float:
 # scalar condition checks (cached)
 # ---------------------------------------------------------------------------
 
-_condition_cache: dict = {}
+_condition_cache: OrderedDict = OrderedDict()
+_CACHE_LIMIT = 4096
 
 
 def _range_nodes(hi: float, n: int) -> tuple[float, ...]:
@@ -663,6 +667,8 @@ def _cached(key, thunk):
     hit = _condition_cache.get(key)
     if hit is None:
         hit = thunk()
+        if len(_condition_cache) >= _CACHE_LIMIT:
+            _condition_cache.popitem(last=False)
         _condition_cache[key] = hit
     return hit
 

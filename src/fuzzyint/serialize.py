@@ -5,6 +5,13 @@ round-trip exactly; infinity is the string "inf".  Keys are sorted and
 output carries no timestamps, which makes reports byte-identical across
 runs and lets a sha256 digest identify an instance.
 
+The writer dispatches on each value's exact type through one table,
+``_EMIT``, and quotes strings through a bounded cache; any other type
+(``np.float64``, an ``IntEnum``, a ``str`` subclass) falls back to an
+``isinstance`` chain.  :class:`RawJSON` is JSON text written verbatim,
+so a document serialised once can be digested and spliced into a
+record: ``digest(RawJSON(dumps_17g(d))) == digest(d)``.
+
 The readers (``*_from_json``) take documents from outside the program,
 so every failure they meet is an :class:`InputError`: a missing field,
 a field of the wrong type, a NaN where a number belongs.
@@ -12,6 +19,7 @@ a field of the wrong type, a NaN where a number belongs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -59,44 +67,89 @@ from .inequalities import NaryOp, TheoremInstance, h_table, h_wmean
 # ---------------------------------------------------------------------------
 
 
-def _emit(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):  # bool before int: True is an int
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
+class RawJSON(str):
+    """JSON text that has already been serialised; the writer copies it verbatim."""
+
+    __slots__ = ()
+
+
+# keys, measure-table keys "0".."63" and kinds repeat on every record
+_quote = functools.lru_cache(maxsize=1024)(json.encoder.encode_basestring_ascii)
+
+
+def _emit_float(obj, out: list) -> None:
+    if math.isnan(obj):
+        raise InputError("nan is not serializable")
+    if obj == INF:
+        out.append('"inf"')
+    elif obj == -INF:
+        raise InputError("-inf is not serializable")
+    else:
+        out.append(format(obj, ".17g"))
+
+
+# Containers format finite floats, most of every instance, without a call.
+
+
+def _emit_seq(obj, out: list) -> None:
+    sep = "["
+    for item in obj:
+        if type(item) is float and -INF < item < INF:
+            out.append(sep + format(item, ".17g"))
+        else:
+            out.append(sep)
+            _EMIT.get(type(item), _emit_other)(item, out)
+        sep = ","
+    out.append("]" if sep == "," else "[]")
+
+
+def _emit_dict(obj, out: list) -> None:
+    sep = "{"
+    for k in sorted(obj):
+        if not isinstance(k, str):
+            raise InputError("object keys must be strings")
+        key = sep + _quote(k) + ":"  # a str subclass quotes as its text
+        v = obj[k]
+        if type(v) is float and -INF < v < INF:
+            out.append(key + format(v, ".17g"))
+        else:
+            out.append(key)
+            _EMIT.get(type(v), _emit_other)(v, out)
+        sep = ","
+    out.append("}" if sep == "," else "{}")
+
+
+def _emit_other(obj, out: list) -> None:
+    # subclasses and foreign types (np.float64, IntEnum, str subclasses)
+    if isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        if math.isnan(obj):
-            raise InputError("nan is not serializable")
-        if obj == INF:
-            out.append('"inf"')
-        elif obj == -INF:
-            raise InputError("-inf is not serializable")
-        else:
-            out.append(format(obj, ".17g"))
+        _emit_float(obj, out)
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
+        _emit_seq(obj, out)
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, k in enumerate(sorted(obj)):
-            if not isinstance(k, str):
-                raise InputError("object keys must be strings")
-            if i:
-                out.append(",")
-            out.append(json.dumps(k, ensure_ascii=True))
-            out.append(":")
-            _emit(obj[k], out)
-        out.append("}")
+        _emit_dict(obj, out)
     else:
         raise InputError(f"cannot serialize {type(obj).__name__}")
+
+
+_EMIT = {
+    float: _emit_float,
+    dict: _emit_dict,
+    list: _emit_seq,
+    tuple: _emit_seq,
+    str: lambda obj, out: out.append(_quote(obj)),
+    int: lambda obj, out: out.append(str(obj)),
+    bool: lambda obj, out: out.append("true" if obj else "false"),
+    type(None): lambda obj, out: out.append("null"),
+    RawJSON: lambda obj, out: out.append(obj),
+}
+
+
+def _emit(obj, out: list) -> None:
+    _EMIT.get(type(obj), _emit_other)(obj, out)
 
 
 def dumps_17g(obj) -> str:

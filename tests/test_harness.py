@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
@@ -10,10 +11,17 @@ import pytest
 
 from fuzzyint import (
     CampaignConfig,
+    FiniteFunction,
+    FiniteMonotoneMeasure,
     InputError,
+    digest,
+    dumps_17g,
     gen_instance,
+    h_min,
+    h_prod,
     instance_digest,
     instance_from_json,
+    instance_to_json,
     max_op,
     min_op,
     probsum_op,
@@ -22,8 +30,10 @@ from fuzzyint import (
     run_campaign,
     verify,
 )
-from fuzzyint.harness import _rng_for
+from fuzzyint import inequalities
+from fuzzyint.harness import _drop_element, _rng_for
 from fuzzyint.inequalities import _condition_cache
+from fuzzyint.serialize import RawJSON
 from conftest import is_monotone_table
 
 
@@ -295,6 +305,68 @@ def test_ndjson_stream_is_parseable_and_complete():
     summary = json.loads(lines[-1])
     assert summary["trials"] == 30
     assert len(summary["violations"]) == len(rep.violations)
+
+
+def test_streamed_lines_splice_the_instance_text_into_the_report_bytes():
+    seen = []
+    rep = run_campaign(falsifier_config(trials=40), on_record=seen.append)
+    assert any(v.shrunk is not None for v in rep.violations)
+    assert "".join(dumps_17g(r) + "\n" for r in seen) == rep.to_ndjson()
+    streamed = [r for r in seen if r["record"] == "violation"]
+    assert len(streamed) == len(rep.violations) > 0
+    for line, rec in zip(streamed, rep.violations):
+        assert type(line["instance"]) is RawJSON
+        assert isinstance(rec.instance, dict)
+        assert json.loads(line["instance"]) == rec.instance
+        assert line["digest"] == rec.digest == digest(rec.instance)
+        assert line["shrunk"] is rec.shrunk
+
+
+def test_raw_json_digests_as_its_document():
+    d = instance_to_json(gen_instance(falsifier_config(), 3))
+    assert digest(RawJSON(dumps_17g(d))) == digest(d)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dropped_element_table_is_the_masks_without_its_bit(n):
+    inst = gen_instance(chebyshev_config(trials=1, n_range=(n, n)), 0)
+    m = inst.measure
+    # total 2: the unnormalized class, whose drops are not rescaled
+    raw = dataclasses.replace(inst, measure=FiniteMonotoneMeasure(n, m.table[:-1] + (2.0,)))
+    for j in range(n):
+        if n == 1:
+            assert _drop_element(inst, j) is None
+            continue
+        kept = tuple(m.table[s] for s in range(1 << n) if not s >> j & 1)
+        cand = _drop_element(inst, j)
+        assert cand.measure.table == tuple(v / kept[-1] for v in kept[:-1]) + (1.0,)
+        assert cand.functions == tuple(
+            FiniteFunction(f.values[:j] + f.values[j + 1 :]) for f in inst.functions
+        )
+        assert _drop_element(raw, j).measure.table == kept
+
+
+def test_condition_cache_stays_bounded_and_bytes_do_not_change(monkeypatch):
+    cfg = CampaignConfig(
+        theorem_id="thm32",
+        seed=5,
+        trials=60,
+        n_range=(2, 4),
+        op_pool=(min_op(1.0), prod_op(1.0)),
+        H_pool=(h_min(2), h_prod(2)),
+        exponent_ranges=(("omega_inner", (0.5, 2.0)), ("xi_inner", (0.5, 2.0))),
+        respect_hypotheses=False,
+    )
+    _condition_cache.clear()
+    unbounded = run_campaign(cfg).to_ndjson()
+    assert len(_condition_cache) > 16
+    monkeypatch.setattr(inequalities, "_CACHE_LIMIT", 16)
+    _condition_cache.clear()
+    sizes = []
+    bounded = run_campaign(cfg, on_record=lambda _: sizes.append(len(_condition_cache)))
+    assert max(sizes + [len(_condition_cache)]) <= 16
+    assert bounded.to_ndjson() == unbounded
+    _condition_cache.clear()
 
 
 # ---------------------------------------------------------------------------

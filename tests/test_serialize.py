@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyint import (
     CappedFunction,
@@ -56,6 +60,8 @@ from fuzzyint import (
     transform_to_json,
     verify,
 )
+from fuzzyint.ops import INF
+from fuzzyint.serialize import RawJSON
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +88,138 @@ def test_emission_rejects_nan_and_negative_infinity():
         dumps_17g({"x": float("nan")})
     with pytest.raises(InputError):
         dumps_17g({"x": float("-inf")})
+
+
+# The writer dispatches on exact type; this isinstance chain is the
+# reference it must agree with, text for text and error for error.
+
+
+def _ref_emit(obj, out: list) -> None:
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if math.isnan(obj):
+            raise InputError("nan is not serializable")
+        if obj == INF:
+            out.append('"inf"')
+        elif obj == -INF:
+            raise InputError("-inf is not serializable")
+        else:
+            out.append(format(obj, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _ref_emit(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, k in enumerate(sorted(obj)):
+            if not isinstance(k, str):
+                raise InputError("object keys must be strings")
+            if i:
+                out.append(",")
+            out.append(json.dumps(k, ensure_ascii=True))
+            out.append(":")
+            _ref_emit(obj[k], out)
+        out.append("}")
+    else:
+        raise InputError(f"cannot serialize {type(obj).__name__}")
+
+
+def _outcome(dumps, doc):
+    try:
+        return dumps(doc)
+    except Exception as exc:  # InputError, or sorted()'s TypeError on mixed keys
+        return type(exc), str(exc)
+
+
+def _ref_dumps(doc) -> str:
+    out: list = []
+    _ref_emit(doc, out)
+    return "".join(out)
+
+
+class Tag(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, math.nan, -math.inf]
+EDGE_INTS = [2**63, -(2**200), 10**4400]  # the last exceeds int-to-str's digit limit
+EDGE_STRINGS = ['say "hi"', "back\\slash", "\x00\x1f\n\t\x7f", "µ-Σ €", "\U0001f600", "\ud800"]
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    # drawn as exponents: repr, which hypothesis calls on strategies, fails on 10**4400
+    st.tuples(st.sampled_from([19, 200, 4400]), st.sampled_from([1, -1])).map(
+        lambda t: t[1] * 10 ** t[0]
+    ),
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(max_size=8),
+    st.sampled_from(EDGE_STRINGS),
+    st.text(max_size=8).map(Tag),
+    st.sampled_from(list(Level)),
+)
+_keys = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(EDGE_STRINGS + [str(i) for i in range(12)]),
+    st.text(max_size=4).map(Tag),
+    st.integers(-3, 3),
+)
+_documents = st.recursive(
+    _scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(_keys, kids, max_size=5),
+        st.dictionaries(st.text(max_size=4), kids, max_size=5),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+def test_exact_type_writer_matches_isinstance_reference(doc):
+    assert _outcome(dumps_17g, doc) == _outcome(_ref_dumps, doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    EDGE_FLOATS
+    + EDGE_INTS
+    + EDGE_STRINGS
+    + [np.float64(0.1), np.int64(3), Tag('t"'), Level.HIGH, None, True, 7, "", [], (), {}]
+    + [{"é": 1.0, "a": (1, [2.5, None])}, {1: 2.0}, {"a": 1, 2: 3}, {Tag("k"): [Tag("v")]}]
+    + [[1.0, math.inf], [math.nan], {"x": -math.inf}, {"x": object()}, b"bytes"],
+    ids=lambda doc: type(doc).__name__,
+)
+def test_writer_matches_reference_on_edge_values(doc):
+    assert _outcome(dumps_17g, doc) == _outcome(_ref_dumps, doc)
+
+
+def test_raw_json_is_written_verbatim():
+    d = instance_to_json(build_instances()[0])
+    text = RawJSON(dumps_17g(d))
+    assert dumps_17g(text) == text
+    assert dumps_17g({"instance": text, "n": [text]}) == dumps_17g({"instance": d, "n": [d]})
 
 
 def test_digest_is_stable_and_order_insensitive():
