@@ -9,7 +9,8 @@ popcount order of an n-point random table, a campaign's verified op
 pools) is done once per process, and never at import.  Reports are
 deterministic line-delimited JSON with no timestamps: same config, same
 bytes.  A violating instance is serialised once: its text gives both the
-digest and the streamed record's "instance".
+digest and the streamed record's "instance".  Before the header, a probe
+runs the trial code on each pairing of pool entries a trial can draw.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ops import INF, BinaryOp, InputError, min_op
+from .ops import BinaryOp, InputError, min_op
 from .functions import (
-    IDENTITY,
     ConstFunction,
     FiniteFunction,
     MonotoneTransform,
@@ -40,11 +40,11 @@ from .inequalities import (
     REVERSE_IDS,
     SINGLE_FUNCTION_IDS,
     THEOREM_IDS,
+    TWO_FUNCTION_IDS,
     InequalityVerdict,
     NaryOp,
     TheoremInstance,
     _cached,
-    _integral,
     _op_report,
     h_min,
     verify,
@@ -65,6 +65,7 @@ from .serialize import (
 )
 
 PRNG_ALGORITHM = "philox4x64"
+_PHI_IDS = ("jensen", "rev_jensen", "thm33", "rev_transform")
 _MAX_RANGE = 1e6
 
 _EXP_SYMBOLS = {
@@ -258,14 +259,6 @@ def _pick(rng: np.random.Generator, pool: Sequence):
     return pool[int(rng.integers(0, len(pool)))]
 
 
-def _function_count(tid: str, H: NaryOp | None) -> int:
-    if tid in SINGLE_FUNCTION_IDS:
-        return 1
-    if tid in NARY_IDS:
-        return H.arity if H is not None else 2
-    return 2
-
-
 def _draw_exponents(config: CampaignConfig, rng: np.random.Generator, tid: str, k: int):
     symbols = _EXP_SYMBOLS.get(tid, ())
     exps = {}
@@ -327,33 +320,46 @@ def _verified_pool(pool: tuple[BinaryOp, ...]) -> tuple[BinaryOp, ...]:
     return _cached(("pool", pool), lambda: tuple(op for op in pool if _op_report(op).passed))
 
 
+def _pools(config: CampaignConfig) -> tuple[tuple, tuple]:
+    """A trial's op pool and the one star, H or phi pool its family reads;
+    respecting hypotheses keeps the verified ops and stars."""
+    tid = config.theorem_id
+    ops = config.op_pool or (min_op(),)
+    pool = ()
+    if tid in NARY_IDS:
+        pool = config.H_pool
+    elif tid in TWO_FUNCTION_IDS:
+        pool = _verified_pool(config.star_pool) if config.respect_hypotheses else config.star_pool
+    elif tid in _PHI_IDS:
+        pool = config.phi_pool
+    if config.respect_hypotheses:
+        ops = _verified_pool(ops) or ops
+    return ops, pool
+
+
 def gen_instance(config: CampaignConfig, trial_index: int) -> TheoremInstance:
     """Deterministically generate the instance of one trial."""
     if trial_index < 0 or trial_index >= config.trials:
         raise InputError("trial index outside the campaign")
-    rng = _rng_for(config.seed, trial_index)
+    return _draw(config, _rng_for(config.seed, trial_index), *_pools(config))
+
+
+def _draw(config: CampaignConfig, rng: np.random.Generator, ops: tuple, pool: tuple) -> TheoremInstance:
+    # pool is the family's star, H or phi pool; an empty one gives the default
     tid = config.theorem_id
+    op = _pick(rng, ops)
 
-    op_pool = config.op_pool or (min_op(),)
-    star_pool = config.star_pool
-    H_pool = config.H_pool
-    if config.respect_hypotheses:
-        op_pool = _verified_pool(op_pool) or op_pool
-        star_pool = _verified_pool(star_pool)
-    op = _pick(rng, op_pool)
-
-    H = None
-    star = None
+    H = star = None
     if tid in NARY_IDS:
-        H = _pick(rng, H_pool) if H_pool else h_min(2)
-    k = _function_count(tid, H)
+        H = _pick(rng, pool) if pool else h_min(2)
+    k = 1 if tid in SINGLE_FUNCTION_IDS else H.arity if H is not None else 2
     n, funcs = _draw_functions(config, rng, k)
 
     normalized = config.normalize_measure or tid in REVERSE_IDS or op.cap == 1.0
     measure = _draw_measure(config, rng, n, normalized)
 
-    if tid not in NARY_IDS and tid not in SINGLE_FUNCTION_IDS:
-        star = _pick(rng, star_pool) if star_pool else min_op(cap=op.cap)
+    if tid in TWO_FUNCTION_IDS:
+        star = _pick(rng, pool) if pool else min_op(cap=op.cap)
 
     u: tuple = ()
     psi: tuple = ()
@@ -361,19 +367,15 @@ def gen_instance(config: CampaignConfig, trial_index: int) -> TheoremInstance:
     if tid in ("thm31", "thm41"):
         u = tuple(identity() for _ in range(k + 1))
         psi = tuple(identity() for _ in range(k))
+    elif tid in _PHI_IDS and pool:
+        phi = _pick(rng, pool)
     elif tid in ("jensen", "rev_jensen"):
-        if config.phi_pool:
-            phi = _pick(rng, config.phi_pool)
-        else:
-            bounds = config.exponent_range("phi_p") or (1.0, 3.0)
-            phi = (power(_lattice_draw(rng, bounds[0], bounds[1])),)
-    elif tid in ("thm33", "rev_transform"):
-        if config.phi_pool:
-            phi = _pick(rng, config.phi_pool)
-        elif tid == "thm33":
-            phi = (power(2.0), identity())
-        else:
-            phi = (identity(), power(2.0))
+        bounds = config.exponent_range("phi_p") or (1.0, 3.0)
+        phi = (power(_lattice_draw(rng, bounds[0], bounds[1])),)
+    elif tid == "thm33":
+        phi = (power(2.0), identity())
+    elif tid == "rev_transform":
+        phi = (identity(), power(2.0))
 
     exponents = _draw_exponents(config, rng, tid, k)
     return TheoremInstance.make(
@@ -512,31 +514,44 @@ def shrink_instance(inst: TheoremInstance):
     return current, current_verdict
 
 
+def _probe(config: CampaignConfig) -> None:
+    """Refuse, before the header, a config some trial could not run: verify
+    trial 0 of each op with each star, H or phi entry the family reads,
+    hypotheses skipped, with every finite value at the top of the scale."""
+    ops, pool = _pools(config)
+    top = 4.5 if config.scale == "extended" else 1.0
+    for op in ops:
+        for entry in [(e,) for e in pool] or [()]:
+            try:
+                inst = _draw(config, _rng_for(config.seed, 0), (op,), entry)
+                if config.carrier == "finite":
+                    funcs = tuple(FiniteFunction((top,) * len(f.values)) for f in inst.functions)
+                    inst = replace(inst, functions=funcs)
+                verify(inst, skip_hypotheses=True)
+            except (InputError, OverflowError) as exc:
+                why = exc if isinstance(exc, InputError) else f"float overflow: {exc}"
+                names = " with ".join([_name(op, "op")] + [_name(e) for e in entry])
+                raise InputError(f"{names}: {why}") from None
+
+
+def _name(entry, role: str = "star") -> str:
+    if isinstance(entry, tuple):
+        return "phi " + ", ".join(t.kind for t in entry)
+    if isinstance(entry, NaryOp):
+        return f"H {entry.kind} of arity {entry.arity}"
+    return f"{role} {entry.label()} (cap {entry.cap:g})"
+
+
 def run_campaign(
     config: CampaignConfig, on_record: Callable[[dict], None] | None = None
 ) -> CampaignReport:
-    """Run every trial; a violation is any verdict with holds false.
+    """Probe the config (see _probe), then run every trial.
 
-    Hypothesis-respecting campaigns therefore exit nonzero only when a
-    hypothesis-passing instance fails, while deliberately unmet regimes
-    report their violations with hypotheses_met false.
+    A violation is any verdict with holds false: respecting campaigns exit
+    nonzero only when a hypothesis-passing instance fails, and unmet
+    regimes report their violations with hypotheses_met false.
     """
-    # an op that would fail every trial drawing it is refused before the
-    # header rather than mid-stream: finite extended-scale data exceed 1,
-    # other data reach 1, and the family's integral checks its op before
-    # it reads any data
-    need = INF if config.carrier == "finite" and config.scale == "extended" else 1.0
-    short = [op for op in config.op_pool + config.star_pool if op.cap < need]
-    if short:
-        caps = "/".join(sorted({f"{op.cap:g}" for op in short}))
-        labels = ", ".join(op.label() for op in short)
-        raise InputError(
-            f"{config.scale} scale needs ops of cap {need:g}, but these have cap {caps}: {labels}"
-        )
-    probe = FiniteFunction((0.0,))
-    for op in config.op_pool or (min_op(),):
-        inst = TheoremInstance.make(config.theorem_id, op, counting_measure(1), [probe])
-        _integral(inst, IDENTITY, probe)
+    _probe(config)
     hyp_pass = 0
     violations = []
     if on_record is not None:

@@ -117,6 +117,8 @@ class BinaryOp:
     kernel: Callable[[float, float], float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.cap not in (1.0, INF):  # every grid and integral assumes one of the two
+            raise InputError(f"op cap must be 1 or inf, got {self.cap:g}")
         object.__setattr__(self, "kernel", _scalar_kernel(self))
 
     def __reduce__(self):

@@ -273,6 +273,34 @@ def test_falsify_clean_campaign_exits_zero(tmp_path, capsys):
     assert records[-1]["violations"] == []
 
 
+# configs that some trial cannot run whatever its data, each with the
+# entries the refusal names; without the pre-header probe of the trial code
+# each of them wrote its header first
+_INTERVAL_CHEB = {"theorem": "chebyshev", "carrier": "lebesgue_power", "measure_family": "distorted",
+                  "op_pool": [{"kind": "min"}], "exponent_ranges": {}, "seed": 5, "trials": 50}
+_SMALLEST = [{"kind": "smallest", "neutral": 0.5}]
+PROBE_REFUSED = {
+    "interval-smallest-star": (dict(_INTERVAL_CHEB, star_pool=_SMALLEST), "star smallest"),
+    "interval-drastic-star": (dict(_INTERVAL_CHEB, star_pool=[{"kind": "drastic"}]), "star drastic"),
+    "interval-table-H": (
+        dict(_INTERVAL_CHEB, theorem="thm32",
+             H_pool=[{"kind": "table", "arity": 2, "nodes": [0, 1], "values": [0, 0, 0, 1]}]),
+        "H table",
+    ),
+    "one-transform-phi": (
+        {"theorem": "thm33", "phi_pool": [[{"kind": "power", "p": 2}]], "exponent_ranges": {}},
+        "phi power",
+    ),
+    "extended-overflow": (
+        {"scale": "extended", "measure_family": "counting", "normalize_measure": False,
+         "op_pool": [{"kind": "prod"}], "star_pool": [{"kind": "prod"}],
+         "exponent_ranges": {"xi0": [300, 400], "omega0": [300, 400]}},
+        "op prod (cap inf) with star prod (cap inf): float overflow",
+    ),
+    "zero-trials-smallest-star": (dict(_INTERVAL_CHEB, star_pool=_SMALLEST, trials=0), "star smallest"),
+}
+
+
 @pytest.mark.parametrize(
     "patch",
     [
@@ -286,10 +314,11 @@ def test_falsify_clean_campaign_exits_zero(tmp_path, capsys):
         {"op_pool": [{"kind": "min", "cap": 0.5}]},
         {"theorem": "rev_minkowski", "exponent_ranges": {"k": [0.5, 2.0]}},
         {"op_pool": [{"kind": "max", "cap": 1}]},
-    ],
+        dict(_INTERVAL_CHEB, star_pool=[{"kind": "prod", "cap": 0}]),
+    ] + [patch for patch, _ in PROBE_REFUSED.values()],
     ids=["trials-string", "n-range-reversed", "n-range-too-large", "negative-seed",
          "null-seed", "extended-cap-one", "unit-cap-half", "reverse-family-forward-op",
-         "forward-family-reverse-op"],
+         "forward-family-reverse-op", "interval-star-cap-zero", *PROBE_REFUSED],
 )
 def test_falsify_bad_config_exits_two_before_any_output(tmp_path, capsys, patch):
     doc = dict(falsify_config_doc(), **patch)
@@ -299,6 +328,16 @@ def test_falsify_bad_config_exits_two_before_any_output(tmp_path, capsys, patch)
     assert out == ""
     assert "Traceback" not in err
     assert set(json.loads(err)) == {"error"}
+
+
+@pytest.mark.parametrize("case", PROBE_REFUSED)
+def test_falsify_refusal_names_the_entries_it_probed(tmp_path, capsys, case):
+    patch, names = PROBE_REFUSED[case]
+    doc = dict(falsify_config_doc(), **patch)
+    path = write(tmp_path, "config.json", doc)
+    code, out, err = run_cli(capsys, "falsify", "--theorem", doc["theorem"], "--config", path)
+    assert (code, out) == (2, "")
+    assert names in json.loads(err)["error"]
 
 
 def test_falsify_config_without_seed_exits_two(tmp_path, capsys):

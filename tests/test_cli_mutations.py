@@ -25,6 +25,7 @@ from fuzzyint import (
     gen_instance,
     h_min,
     h_prod,
+    identity,
     instance_to_json,
     max_op,
     min_op,
@@ -42,9 +43,18 @@ THEOREMS = {
     "chebyshev": {},
     "star_general": {"xi1": (0.3, 0.8), "xi2": (0.3, 0.8)},
     "thm32": {"xi_inner": (0.5, 2.0), "omega_inner": (0.5, 2.0)},
+    "thm33": {},
     "rev_minkowski": {"k": (0.5, 2.0)},
     "jensen": {"phi_p": (0.5, 3.0)},
     "lyapunov": {"r": (0.5, 3.0), "s": (0.5, 3.0)},
+}
+
+
+# star, H and phi pools of two valid entries each, so a mutation can reach
+# every pool a family reads; the stars are ones the interval can combine
+PHI_POOLS = {
+    "jensen": ((power(2.0),), (power(1.5),)),
+    "thm33": ((power(2.0), identity()), (power(3.0), identity())),
 }
 
 
@@ -52,6 +62,7 @@ def base_configs():
     for tid, ranges in THEOREMS.items():
         reverse = tid in REVERSE_IDS
         pool = (max_op(1.0), probsum_op()) if reverse else (min_op(1.0), prod_op(), smallest_op(0.5))
+        stars = (max_op(1.0), max_op()) if reverse else (min_op(1.0), prod_op(1.0))
         for carrier in ("finite", "lebesgue_power"):
             yield CampaignConfig(
                 theorem_id=tid,
@@ -61,9 +72,9 @@ def base_configs():
                 n_range=(2, 4),
                 measure_family="random_table" if carrier == "finite" else "distorted",
                 op_pool=pool if carrier == "lebesgue_power" else pool[:1],
-                star_pool=pool[:1],
+                star_pool=stars,
                 H_pool=(h_min(2), h_prod(2)) if tid == "thm32" else (),
-                phi_pool=((power(2.0),),) if tid == "jensen" else (),
+                phi_pool=PHI_POOLS.get(tid, ()),
                 exponent_ranges=tuple(sorted(ranges.items())),
                 respect_hypotheses=carrier == "finite",
             )

@@ -30,7 +30,7 @@ from fuzzyint import (
     run_campaign,
     verify,
 )
-from fuzzyint import inequalities
+from fuzzyint import harness, inequalities
 from fuzzyint.harness import _drop_element, _rng_for
 from fuzzyint.inequalities import _condition_cache
 from fuzzyint.serialize import RawJSON
@@ -197,12 +197,37 @@ def test_extended_scale_with_cap_one_ops_is_refused_before_the_header():
     records = []
     cfg = chebyshev_config(scale="extended", respect_hypotheses=False, seed=3,
                            op_pool=(prod_op(1.0),), star_pool=(min_op(1.0),))
-    with pytest.raises(InputError, match="cap 1: prod, min"):
+    with pytest.raises(InputError, match=r"op prod \(cap 1\) with star min \(cap 1\): value 4.5"):
         run_campaign(cfg, on_record=records.append)
     assert records == []
     # uncapped pools run on extended data
     cfg = chebyshev_config(trials=20, scale="extended", op_pool=(min_op(),), star_pool=(prod_op(),))
     assert run_campaign(cfg).trials == 20
+
+
+def test_pool_entries_the_family_never_draws_are_not_refused():
+    # thm32 draws H, not a star: a cap-1 star on extended data goes unused
+    cfg = CampaignConfig(theorem_id="thm32", seed=3, trials=5, op_pool=(min_op(),),
+                         star_pool=(min_op(1.0),), scale="extended", respect_hypotheses=False)
+    assert run_campaign(cfg).trials == 5
+    # the ops and the H pool it draws from are probed, and named
+    cfg = dataclasses.replace(cfg, op_pool=(min_op(1.0),), H_pool=(h_prod(2),))
+    with pytest.raises(InputError, match=r"op min \(cap 1\) with H prod of arity 2: "):
+        run_campaign(cfg)
+
+
+def test_probe_does_not_call_gen_instance(monkeypatch):
+    # each gen_instance call is one trial to anything that wraps it
+    calls = []
+    gen = harness.gen_instance
+
+    def counted(*args):
+        calls.append(args[1])
+        return gen(*args)
+
+    monkeypatch.setattr(harness, "gen_instance", counted)
+    run_campaign(chebyshev_config(trials=3, star_pool=(min_op(1.0), prod_op(1.0), max_op(1.0))))
+    assert calls == [0, 1, 2]
 
 
 def test_config_json_round_trip():

@@ -236,6 +236,13 @@ def test_invalid_factory_arguments():
         table_op((0.0, 1.0), (0.0, 0.0, 0.0), neutral=1.0)
 
 
+@pytest.mark.parametrize("cap", [0.0, 0.5, 1.5, 2.0, math.nan])
+def test_cap_other_than_one_or_inf_is_refused(cap):
+    # the grids, the contraction check and the integrals know only the two
+    with pytest.raises(InputError, match="op cap must be 1 or inf"):
+        min_op(cap)
+
+
 def test_infinite_cap_grid_includes_absorbing_row():
     rep = verify_op_properties(prod_op(), properties=("annihilator_zero",))
     assert rep.passed
