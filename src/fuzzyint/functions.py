@@ -586,7 +586,7 @@ def pointwise_combine(star: BinaryOp, f, g):
     if isinstance(f, FiniteFunction) and isinstance(g, FiniteFunction):
         if f.n != g.n:
             raise InputError("carrier size mismatch")
-        return FiniteFunction(tuple(eval_op(star, a, b) for a, b in zip(f.values, g.values)))
+        return FiniteFunction(tuple(map(star.kernel, f.values, g.values)))
     if not (is_continuous(f) and is_continuous(g)):
         raise InputError("cannot mix carriers in a pointwise combination")
 

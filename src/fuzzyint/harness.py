@@ -4,9 +4,10 @@ A campaign is fully described by its config; trial i draws from its own
 Philox stream, addressed by counter: key = seed and counter = i * 2**128
 mod 2**256, which is the stream ``Philox(key=seed).jumped(i)`` without the
 jump.  So any reported violation can be regenerated in isolation from
-(config, trial_index) alone.  Work that is the same for every trial (the
-popcount order of an n-point random table, a campaign's verified op
-pools) is done once per process, and never at import.  Reports are
+(config, trial_index) alone.  Work that is the same for every trial (a
+thread's one Philox generator, moved to each trial by assigning its
+state; the popcount order of an n-point random table; a campaign's
+verified op pools) is done once, and never at import.  Reports are
 deterministic line-delimited JSON with no timestamps: same config, same
 bytes.  A violating instance is serialised once: its text gives both the
 digest and the streamed record's "instance".  Before the header, a probe
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -33,7 +35,8 @@ from .functions import (
     make_comonotone_system,
     power,
 )
-from .measures import MAX_GROUND_SET, DistortedLebesgue, FiniteMonotoneMeasure, counting_measure
+from .measures import MAX_GROUND_SET, DistortedLebesgue, FiniteMonotoneMeasure
+from .measures import _check_size, counting_measure
 from .integrals import sugeno
 from .inequalities import (
     NARY_IDS,
@@ -207,10 +210,22 @@ def _json_bool(v, name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_thread = threading.local()
+
+
 def _rng_for(seed: int, trial_index: int) -> np.random.Generator:
-    # jumped(i) adds i * 2**128 to the 256-bit counter, wrapping
-    counter = (trial_index << 128) % 2**256
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    # this thread's one generator, moved to the trial and valid until the
+    # thread's next call.  jumped(i) adds i * 2**128 to the 256-bit counter,
+    # wrapping; an empty buffer makes the first draw advance the counter, as
+    # a new generator does
+    if not hasattr(_thread, "gen"):
+        _thread.gen = np.random.Generator(np.random.Philox(key=seed))
+    i = trial_index % 2**128
+    state = {"counter": [0, 0, i % 2**64, i >> 64], "key": [seed % 2**64, seed >> 64]}
+    _thread.gen.bit_generator.state = dict(
+        bit_generator="Philox", state=state, buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0
+    )
+    return _thread.gen
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,6 +247,7 @@ def random_table_measure(
     subset gets a draw at least as large as those of the subsets it
     covers, and the table is monotone as drawn.
     """
+    _check_size(n)
     size = 1 << n
     draws = np.sort(rng.uniform(0.0, 1.0, size=size))
     table = np.empty(size)
@@ -242,7 +258,7 @@ def random_table_measure(
     if normalized:
         table /= table[-1]
         table[-1] = 1.0
-    return FiniteMonotoneMeasure(n, tuple(table.tolist()))
+    return FiniteMonotoneMeasure._monotone(n, tuple(table.tolist()))
 
 
 def _lattice_draw(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -476,7 +492,7 @@ def _drop_element(inst: TheoremInstance, j: int) -> TheoremInstance | None:
     # a restriction of a monotone table is monotone; every other field,
     # exponents included, is already in its frozen form
     return replace(
-        inst, measure=FiniteMonotoneMeasure(n - 1, tuple(table)), functions=funcs
+        inst, measure=FiniteMonotoneMeasure._monotone(n - 1, tuple(table)), functions=funcs
     )
 
 

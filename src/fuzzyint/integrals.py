@@ -15,18 +15,19 @@ candidates is seeded with 33 interior nodes and the best node is
 sharpened by ternary search; results carry the tolerance they were
 refined to and the number of threshold evaluations spent.
 
-The optimiser evaluates t (op) level(t) by calling the op's scalar
-kernel (``op.kernel``, built when the op was) directly, so a threshold
-evaluation pays no kind dispatch and does not go through
-:func:`~fuzzyint.ops.eval_op`.  Level queries still go through the
-profile's ``weak``/``strict`` attributes.  The evaluation count is kept
-arithmetically: one per mark, 35 per span and 2 per ternary step.
+The optimiser calls the op's scalar kernel (``op.kernel``) directly, so
+a threshold evaluation pays no kind dispatch and does not go through
+:func:`~fuzzyint.ops.eval_op`.  A finite profile's levels are read by
+index from its sweep (``levels``); the interval's are queried through
+``weak``/``strict``.  The evaluation count is kept arithmetically: one
+per mark, 35 per span and 2 per ternary step.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .ops import (
@@ -78,20 +79,34 @@ def _optimize(
     op: BinaryOp, profile: SurvivalProfile, tol: float, minimize: bool
 ) -> tuple[float, int, bool]:
     """Best of t (op) level(t); exact on candidate-attained profiles."""
-    level = profile.strict if minimize else profile.weak
     better = operator.lt if minimize else operator.gt
     kern = op.kernel
-
-    marks = {0.0, profile.t_max}
-    marks.update(profile.candidates)
-    if op.kind in (KIND_SMALLEST, KIND_GREATEST) and math.isfinite(op.neutral):
-        if 0.0 < op.neutral < profile.t_max:
-            marks.add(op.neutral)
-    marks = sorted(v for v in marks if 0.0 <= v <= profile.t_max)
+    e = op.neutral
+    # a smallest or greatest neutral inside (0, t_max) is a mark too
+    e_mark = op.kind in (KIND_SMALLEST, KIND_GREATEST) and 0.0 < e < profile.t_max
+    if profile.levels is not None:
+        # finite: candidate k meets levels[k] forward and levels[k + 1] in
+        # reverse; the 0 mark (+0.0 even where f takes -0.0) and a neutral
+        # that is no candidate read the level at their bisect position
+        cands, levels = profile.candidates, profile.levels
+        marked = levels[minimize : minimize + len(cands)]
+        if cands[0] == 0.0:
+            marks = [0.0, *cands[1:]]
+        else:
+            marks = [0.0, *cands]
+            marked.insert(0, levels[0])
+        if e_mark and marks[j := bisect_left(marks, e)] != e:
+            marks.insert(j, e)
+            marked.insert(j, levels[bisect_left(cands, e)])
+    else:
+        level = profile.strict if minimize else profile.weak
+        marks = {0.0, profile.t_max, *profile.candidates, *((e,) if e_mark else ())}
+        marks = sorted(v for v in marks if 0.0 <= v <= profile.t_max)
+        marked = map(level, marks)
 
     best = None
-    for v in marks:
-        y = kern(v, level(v))
+    for v, lv in zip(marks, marked):
+        y = kern(v, lv)
         if best is None or better(y, best):
             best = y
     if best is None:

@@ -2,7 +2,8 @@
 
 A finite monotone measure is a table over all subsets of {0,...,n-1},
 indexed by bitmask, with m(empty) = 0, m(full) > 0 and m monotone under
-inclusion.  The continuous carrier uses distorted Lebesgue measures
+inclusion; tables monotone by construction skip the constructor's scan
+of covering pairs.  The interval uses distorted Lebesgue measures
 g(length(A)) on [0, 1].
 
 The survival profile of a pair (m, f) packages the two level functions
@@ -13,14 +14,14 @@ together with the candidate thresholds where they can jump.  Both level
 functions are evaluated exactly.  On a finite carrier the profile is
 built in one descending sweep over the distinct values of f, OR-ing each
 value's points into a running mask and reading the table there, so
-above[k] = m({f >= c_k}); a query is then one binary search,
-weak(t) = above[#{c < t}] and strict(t) = above[#{c <= t}].  The
-continuous family uses closed-form level-set lengths.
+above[k] = m({f >= c_k}), kept as the profile's ``levels``; a query is
+one binary search, weak(t) = above[#{c < t}] and strict(t) =
+above[#{c <= t}].  The continuous family uses closed-form level-set
+lengths.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -50,13 +51,9 @@ MAX_GROUND_SET = 20
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _covering_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every covering pair (S, S | bit) of n bits, bit by bit, S ascending."""
-    masks = np.arange(1 << n)
-    lo = np.concatenate([masks[masks & (1 << b) == 0] for b in range(n)])
-    hi = lo | np.repeat(1 << np.arange(n), 1 << (n - 1))
-    return lo, hi
+def _check_size(n: int) -> None:
+    if not (1 <= n <= MAX_GROUND_SET):
+        raise InputError(f"ground set size must be in 1..{MAX_GROUND_SET}")
 
 
 @dataclass(frozen=True)
@@ -67,25 +64,41 @@ class FiniteMonotoneMeasure:
     table: tuple[float, ...]
 
     def __post_init__(self):
-        if not (1 <= self.n <= MAX_GROUND_SET):
-            raise InputError(f"ground set size must be in 1..{MAX_GROUND_SET}")
+        self._check_shape()
+        # every covering pair (S, S | bit), bit by bit and S ascending: in
+        # blocks of (2, 2**b), row 0 holds the masks without bit b and row
+        # 1 their covers.  With m(empty) = 0 this also rules out negative
+        # and NaN entries (a NaN fails every comparison)
+        arr = np.asarray(self.table, dtype=float)
+        for b in range(self.n):
+            w = 1 << b
+            pairs = arr.reshape(-1, 2, w)
+            ordered = pairs[:, 0, :] <= pairs[:, 1, :]
+            if not ordered.all():
+                for v in self.table:
+                    if math.isnan(v) or v < 0.0:
+                        raise InputError(f"bad measure value {v!r}")
+                block, offset = divmod(int(np.argmin(ordered)), w)
+                s = 2 * w * block + offset
+                raise InputError(f"measure is not monotone: m({s}) > m({s | w})")
+
+    @classmethod
+    def _monotone(cls, n: int, table: tuple[float, ...]) -> "FiniteMonotoneMeasure":
+        # a table monotone by construction: the O(1) checks, not the scan
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "table", table)
+        m._check_shape()
+        return m
+
+    def _check_shape(self) -> None:
+        _check_size(self.n)
         if len(self.table) != 1 << self.n:
             raise InputError("table must hold 2**n entries")
         if self.table[0] != 0.0:
             raise InputError("measure of the empty set must be 0")
         if not self.table[-1] > 0.0:
             raise InputError("measure of the full set must be positive")
-        # with m(empty) = 0, every covering pair in order also rules out
-        # negative and NaN entries (a NaN fails every comparison)
-        lo, hi = _covering_pairs(self.n)
-        arr = np.asarray(self.table, dtype=float)
-        ordered = arr[lo] <= arr[hi]
-        if not ordered.all():
-            for v in self.table:
-                if math.isnan(v) or v < 0.0:
-                    raise InputError(f"bad measure value {v!r}")
-            k = int(np.argmin(ordered))
-            raise InputError(f"measure is not monotone: m({lo[k]}) > m({hi[k]})")
 
     @property
     def total(self) -> float:
@@ -98,9 +111,10 @@ class FiniteMonotoneMeasure:
 
 
 def counting_measure(n: int, normalized: bool = False) -> FiniteMonotoneMeasure:
+    _check_size(n)
     scale = 1.0 / n if normalized else 1.0
     table = tuple(bin(s).count("1") * scale for s in range(1 << n))
-    return FiniteMonotoneMeasure(n, table)
+    return FiniteMonotoneMeasure._monotone(n, table)
 
 
 @dataclass(frozen=True)
@@ -138,6 +152,10 @@ class SurvivalProfile:
     distinct values of f).  exact means the sup/inf of any nondecreasing
     pairing is attained on the candidates, so no refinement is needed;
     otherwise the spans between candidates must be searched too.
+
+    levels is the finite sweep itself, None on the interval:
+    levels[k] = m({f >= candidates[k]}) = m({f > candidates[k - 1]}),
+    and levels[-1] = m(empty).
     """
 
     weak: Callable[[float], float]
@@ -145,6 +163,7 @@ class SurvivalProfile:
     candidates: tuple[float, ...]
     t_max: float
     exact: bool
+    levels: list[float] | None = None
 
     def compose(self, transform: MonotoneTransform) -> "SurvivalProfile":
         """Profile of transform(f) from the profile of f.
@@ -215,6 +234,7 @@ def _finite_profile(m: FiniteMonotoneMeasure, f: FiniteFunction) -> SurvivalProf
         candidates=cands,
         t_max=max(values),
         exact=True,
+        levels=above,
     )
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -237,14 +239,66 @@ def test_config_json_round_trip():
     assert instance_digest(gen_instance(back, 3)) == instance_digest(gen_instance(cfg, 3))
 
 
+def _mixed_draws(gen):
+    return [
+        gen.random(3).tolist(),
+        gen.uniform(0.25, 2.5, size=5).tolist(),
+        gen.integers(0, 7, size=4).tolist(),
+        int(gen.integers(2, 9)),
+        gen.random(),
+        gen.integers(0, 2**40, size=3).tolist(),
+        gen.uniform(),
+    ]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**128 - 1])
 def test_trial_stream_is_the_stream_jumped_trial_times(seed):
     # 2**128 and beyond wrap the 256-bit counter, as jumped does
-    for i in (0, 1, 5, 1000, 2**64 + 3, 2**70, 2**128 - 1, 2**128, 2**128 + 5):
-        ours = _rng_for(seed, i)
-        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-        assert ours.uniform(size=8).tolist() == jumped.uniform(size=8).tolist()
-        assert ours.integers(0, 2**40, size=8).tolist() == jumped.integers(0, 2**40, size=8).tolist()
+    for i in (0, 1, 5, 1000, 2**64 + 3, 2**70, 2**127, 2**128 - 1, 2**128, 2**128 + 3, 2**128 + 5):
+        jumped = _mixed_draws(np.random.Generator(np.random.Philox(key=seed).jumped(i)))
+        counter = np.random.Philox(key=seed, counter=(i << 128) % 2**256)
+        assert _mixed_draws(np.random.Generator(counter)) == jumped
+        # the thread's generator is reused: twice, so the second call starts
+        # from a generator that has already drawn
+        assert _mixed_draws(_rng_for(seed, i)) == jumped
+        assert _mixed_draws(_rng_for(seed, i)) == jumped
+
+
+def test_interleaved_and_threaded_campaigns_draw_the_instances_they_draw_alone():
+    cfgs = (
+        falsifier_config(trials=30, seed=5),
+        chebyshev_config(trials=30, seed=6),
+        chebyshev_config(trials=30, seed=2**128 - 1),
+    )
+    alone = [[instance_digest(gen_instance(c, i)) for i in range(c.trials)] for c in cfgs]
+    interleaved = [[] for _ in cfgs]
+    for i in range(30):
+        for k, c in enumerate(cfgs):
+            interleaved[k].append(instance_digest(gen_instance(c, i)))
+    assert interleaved == alone
+
+    # more threads than cores; all start each trial together and switch
+    # often inside it
+    threaded = [[] for _ in cfgs]
+    barrier = threading.Barrier(len(cfgs))
+
+    def run(k):
+        for i in range(30):
+            barrier.wait(timeout=60)
+            threaded[k].append(instance_digest(gen_instance(cfgs[k], i)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(len(cfgs))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert threaded == alone
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +423,9 @@ def test_dropped_element_table_is_the_masks_without_its_bit(n):
             FiniteFunction(f.values[:j] + f.values[j + 1 :]) for f in inst.functions
         )
         assert _drop_element(raw, j).measure.table == kept
+        # built without the covering-pair scan, and monotone all the same
+        for c in (cand, _drop_element(raw, j)):
+            assert FiniteMonotoneMeasure(n - 1, c.measure.table) == c.measure
 
 
 def test_condition_cache_stays_bounded_and_bytes_do_not_change(monkeypatch):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyint import (
+    BinaryOp,
     ConstFunction,
     DistortedLebesgue,
     FiniteFunction,
@@ -17,9 +21,12 @@ from fuzzyint import (
     PwlFunction,
     TransformedFunction,
     counting_measure,
+    custom_op,
+    drastic_op,
     eval_at,
     eval_op,
     identity,
+    luk_conorm_op,
     lukasiewicz_op,
     max_op,
     min_op,
@@ -32,8 +39,13 @@ from fuzzyint import (
     smallest_e_integral,
     smallest_op,
     sugeno,
+    sum_op,
+    survival,
+    table_op,
     universal_integral,
 )
+from fuzzyint.integrals import _optimize
+from fuzzyint.ops import KIND_GREATEST, KIND_SMALLEST
 from conftest import random_finite_function, random_measure, rng_of
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # fixed point of t = 1 - t**2
@@ -149,6 +161,80 @@ def test_step_function_integrates_to_op_of_level_and_measure():
             vals = tuple(c if (mask >> i) & 1 else 0.0 for i in range(n))
             got = float(universal_integral(op, m, FiniteFunction(vals)))
             assert got == eval_op(op, c, m.value(mask))
+
+
+def _marks_loop(op, profile, minimize):
+    """The reference finite optimiser: a sorted mark set, each mark's level
+    queried through the profile's weak or strict function."""
+    level = profile.strict if minimize else profile.weak
+    better = operator.lt if minimize else operator.gt
+    marks = {0.0, profile.t_max}
+    marks.update(profile.candidates)
+    if op.kind in (KIND_SMALLEST, KIND_GREATEST) and math.isfinite(op.neutral):
+        if 0.0 < op.neutral < profile.t_max:
+            marks.add(op.neutral)
+    marks = sorted(v for v in marks if 0.0 <= v <= profile.t_max)
+    best = None
+    for v in marks:
+        y = op.kernel(v, level(v))
+        if best is None or better(y, best):
+            best = y
+    if best is None:
+        best = 0.0
+    return best, len(marks), True
+
+
+def _outcome(fn):
+    # repr tells -0.0 from 0.0 and compares NaN equal to NaN
+    try:
+        return "ok", repr(fn())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_FIXED_OPS = (
+    min_op(1.0), min_op(), prod_op(1.0), prod_op(), max_op(1.0), max_op(), sum_op(1.0), sum_op(),
+    lukasiewicz_op(), drastic_op(), probsum_op(), luk_conorm_op(),
+    custom_op(lambda a, b: a * b - a * 0.25, 1.0),
+    table_op((0.0, 0.5, 1.0), (0.0, 0.0, 0.0, 0.0, 0.25, 0.5, 0.0, 0.5, 1.0), 1.0),
+    BinaryOp("no_such_kind", neutral=1.0),
+)
+
+
+@st.composite
+def finite_case_st(draw):
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from((-0.0, 0.0, 0.25, 0.5, 1.0, 3.0, math.inf)), st.floats(0.0, 2.0)),
+        min_size=n, max_size=n,
+    ))
+    table = list(random_measure(rng_of(draw(st.integers(0, 2**32 - 1))), n, draw(st.booleans())).table)
+    top = draw(st.sampled_from((None, 2.5, math.inf)))
+    if top is not None:
+        table[-1] = top
+    if draw(st.booleans()):
+        table[0] = -0.0
+    cands = sorted(set(values))
+    # neutrals at, between and beyond the candidates, and ones no mark takes
+    neutral = draw(st.one_of(
+        st.sampled_from(cands),
+        st.sampled_from([a + (b - a) / 2.0 for a, b in zip(cands, cands[1:])] or [0.5]),
+        st.sampled_from((cands[0] / 2.0, cands[-1] + 1.0, math.inf, 0.0, -0.0, -1.0, math.nan)),
+    ))
+    op = draw(st.one_of(
+        st.sampled_from(_FIXED_OPS),
+        st.sampled_from((KIND_SMALLEST, KIND_GREATEST)).map(lambda k: BinaryOp(k, neutral=neutral)),
+    ))
+    m = FiniteMonotoneMeasure(n, tuple(table))
+    return op, survival(m, FiniteFunction(tuple(values))), draw(st.booleans())
+
+
+@given(finite_case_st())
+@settings(max_examples=1500, deadline=None, derandomize=True)
+def test_finite_optimiser_reads_the_sweep_as_the_marks_loop_queried_it(case):
+    op, profile, minimize = case
+    got = _outcome(lambda: _optimize(op, profile, 1e-12, minimize))
+    assert got == _outcome(lambda: _marks_loop(op, profile, minimize))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from fuzzyint import (
     survival,
 )
 from fuzzyint.harness import _cardinality_order, random_table_measure
+from fuzzyint.measures import MAX_GROUND_SET
 from conftest import is_monotone_table, random_measure, rng_of
 
 
@@ -64,6 +65,63 @@ def test_constructor_rejects_non_monotone_table():
         FiniteMonotoneMeasure(3, (0.0, 0.1, 0.1, 0.2, 0.9, 0.5, 0.3, 1.0))
     # ties and infinite values in order pass
     assert FiniteMonotoneMeasure(2, (0.0, 1.0, math.inf, math.inf)).total == math.inf
+
+
+def _old_first_unordered(table, n):
+    """The reference scan: every covering pair enumerated as index arrays,
+    bit by bit and S ascending, then the first pair out of order."""
+    masks = np.arange(1 << n)
+    lo = np.concatenate([masks[masks & (1 << b) == 0] for b in range(n)])
+    hi = lo | np.repeat(1 << np.arange(n), 1 << (n - 1))
+    arr = np.asarray(table, dtype=float)
+    ordered = arr[lo] <= arr[hi]
+    if ordered.all():
+        return None
+    k = int(np.argmin(ordered))
+    return int(lo[k]), int(hi[k])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_strided_scan_names_the_pair_the_enumeration_names(n):
+    rng = rng_of(100 + n)
+    for trial in range(40):
+        table = rng.uniform(0.0, 1.0, size=1 << n)
+        # a few swaps in a sorted table leave one or several pairs out of order
+        if trial % 2:
+            table = np.sort(table)[_cardinality_order(n).argsort()]
+            for _ in range(int(rng.integers(1, 4))):
+                i, j = rng.integers(1, 1 << n, size=2)
+                table[i], table[j] = table[j], table[i]
+        table[0] = 0.0
+        table[-1] = table.max() + 1.0
+        table = tuple(table.tolist())
+        pair = _old_first_unordered(table, n)
+        if pair is None:
+            assert FiniteMonotoneMeasure(n, table).table == table
+            continue
+        with pytest.raises(InputError, match=rf"^measure is not monotone: m\({pair[0]}\) > m\({pair[1]}\)$"):
+            FiniteMonotoneMeasure(n, table)
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_GROUND_SET + 1])
+def test_builders_refuse_a_bad_size_before_building_the_table(n):
+    # n = 0 must not reach the 1 / n of a normalised counting table, nor
+    # n = -1 the shift 1 << n
+    msg = rf"^ground set size must be in 1\.\.{MAX_GROUND_SET}$"
+    for normalized in (True, False):
+        with pytest.raises(InputError, match=msg):
+            counting_measure(n, normalized=normalized)
+        with pytest.raises(InputError, match=msg):
+            random_table_measure(rng_of(0), n, normalized=normalized)
+
+
+def test_tables_built_monotone_pass_the_public_constructor():
+    for normalized in (True, False):
+        for n in range(1, 13):
+            m = random_table_measure(rng_of(n), n, normalized=normalized)
+            assert FiniteMonotoneMeasure(n, m.table) == m
+            c = counting_measure(n, normalized=normalized)
+            assert FiniteMonotoneMeasure(n, c.table) == c
 
 
 def test_counting_measure_counts_bits():
