@@ -13,17 +13,9 @@ import json
 import math
 import sys
 
-from .ops import InputError, default_grid, verify_op_properties
+from .ops import InputError, default_grid, min_op, prod_op, smallest_op, verify_op_properties
 from .functions import UnsupportedError
-from .integrals import (
-    DEFAULT_TOL,
-    semiconormed_integral,
-    seminormed_integral,
-    smallest_e_integral,
-    shilkret,
-    sugeno,
-    universal_integral,
-)
+from .integrals import DEFAULT_TOL, semiconormed_integral, seminormed_integral, universal_integral
 from .inequalities import THEOREM_IDS, verify
 from .harness import CampaignConfig, reproduce_paper, run_campaign
 from .serialize import (
@@ -37,6 +29,8 @@ from .serialize import (
 )
 
 _INTEGRALS = ("universal", "sugeno", "shilkret", "smallest-e", "seminormed", "semiconormed")
+# sugeno, shilkret and smallest-e are the universal integral of their op
+_NAMED_INTEGRALS = {"seminormed": seminormed_integral, "semiconormed": semiconormed_integral}
 
 
 def _read_json(path: str) -> dict:
@@ -64,28 +58,21 @@ def _cmd_integrate(args) -> int:
         measure = measure_from_json(doc["measure"])
         f = function_from_json(doc.get("function") or doc["functions"][0])
     kind = args.integral
-    if kind in ("universal", "seminormed", "semiconormed"):
-        opdoc = doc.get("op")
-        if args.op is not None:
-            opdoc = _read_json(args.op)
-        if opdoc is None:
-            raise InputError(f"{kind} integral needs an op descriptor")
-        op = op_from_json(opdoc)
-        if kind == "universal":
-            res = universal_integral(op, measure, f, tol=tol)
-        elif kind == "seminormed":
-            res = seminormed_integral(op, measure, f, tol=tol)
-        else:
-            res = semiconormed_integral(op, measure, f, tol=tol)
-    elif kind == "sugeno":
-        res = sugeno(measure, f, tol=tol)
+    if kind == "sugeno":
+        op = min_op()
     elif kind == "shilkret":
-        res = shilkret(measure, f, tol=tol)
-    else:
+        op = prod_op()
+    elif kind == "smallest-e":
         e = args.e if args.e is not None else doc.get("e")
         if e is None:
             raise InputError("smallest-e integral needs --e")
-        res = smallest_e_integral(measure, f, _num(e), tol=tol)
+        op = smallest_op(_num(e))
+    else:
+        opdoc = doc.get("op") if args.op is None else _read_json(args.op)
+        if opdoc is None:
+            raise InputError(f"{kind} integral needs an op descriptor")
+        op = op_from_json(opdoc)
+    res = _NAMED_INTEGRALS.get(kind, universal_integral)(op, measure, f, tol=tol)
     _emit({"value": res.value, "tol": res.tol, "candidates": res.candidates})
     return 0
 

@@ -524,13 +524,17 @@ def is_countermonotone(f, g):
     return _at_points(_comonotone_vectors(fv, [-v for v in gv]), xs)
 
 
+# the largest factor, hence value, of an 'extended' comonotone system
+EXTENDED_TOP = 4.5
+
+
 def make_comonotone_system(seed, n: int, k: int, scale: str = "unit"):
     """Draw k pairwise comonotone functions on a finite n-point carrier.
 
     A shared base vector h is drawn, then each function is a nondecreasing
     staircase reindexing of h's level order, so every pair is comonotone
     by construction.  scale 'unit' keeps values in [0, 1]; 'extended'
-    rescales by a positive factor.  Deterministic for a given seed.
+    rescales by a factor in [0.5, EXTENDED_TOP).  Deterministic per seed.
     """
     if n < 1 or k < 1:
         raise InputError("need n >= 1 and k >= 1")
@@ -544,7 +548,7 @@ def make_comonotone_system(seed, n: int, k: int, scale: str = "unit"):
         levels = np.sort(rng.random(n))
         vals = levels[ranks]
         if scale == "extended":
-            vals = vals * (0.5 + 4.0 * rng.random())
+            vals = vals * (0.5 + (EXTENDED_TOP - 0.5) * rng.random())
         elif scale != "unit":
             raise InputError("scale must be 'unit' or 'extended'")
         out.append(FiniteFunction(tuple(vals.tolist())))

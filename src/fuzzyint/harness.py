@@ -7,11 +7,13 @@ jump.  So any reported violation can be regenerated in isolation from
 (config, trial_index) alone.  Work that is the same for every trial (a
 thread's one Philox generator, moved to each trial by assigning its
 state; the popcount order of an n-point random table; a campaign's
-verified op pools) is done once, and never at import.  Reports are
+verified op pools) is done once, and never at import.  A campaign streams
 deterministic line-delimited JSON with no timestamps: same config, same
-bytes.  A violating instance is serialised once: its text gives both the
-digest and the streamed record's "instance".  Before the header, a probe
-runs the trial code on each pairing of pool entries a trial can draw.
+bytes.  The stream is the record: each violation's instance is serialised
+once, its text giving both the digest and the streamed line's "instance",
+and the returned report keeps only each violation's trial, margin and
+digest.  Before the header, a probe runs the trial code on each pairing
+of pool entries a trial can draw.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 
 from .ops import BinaryOp, InputError, min_op
 from .functions import (
+    EXTENDED_TOP,
     ConstFunction,
     FiniteFunction,
     MonotoneTransform,
@@ -415,27 +418,12 @@ def _draw(config: CampaignConfig, rng: np.random.Generator, ops: tuple, pool: tu
 
 @dataclass(frozen=True)
 class ViolationRecord:
+    """A violation as the summary names it; the stream holds its instance."""
+
     trial_index: int
     margin: float
     hypotheses_met: bool
     digest: str
-    instance: dict
-    shrunk: dict | None = None
-    shrunk_margin: float | None = None
-
-    def to_json(self) -> dict:
-        d = {
-            "record": "violation",
-            "trial": self.trial_index,
-            "margin": self.margin,
-            "hypotheses_met": self.hypotheses_met,
-            "digest": self.digest,
-            "instance": self.instance,
-        }
-        if self.shrunk is not None:
-            d["shrunk"] = self.shrunk
-            d["shrunk_margin"] = self.shrunk_margin
-        return d
 
 
 def _header_json(config: CampaignConfig) -> dict:
@@ -462,12 +450,6 @@ class CampaignReport:
                 [v.trial_index, v.margin, v.digest] for v in self.violations
             ],
         }
-
-    def to_ndjson(self) -> str:
-        lines = [dumps_17g(_header_json(self.config))]
-        lines.extend(dumps_17g(v.to_json()) for v in self.violations)
-        lines.append(dumps_17g(self.summary_json()))
-        return "\n".join(lines) + "\n"
 
 
 def _drop_element(inst: TheoremInstance, j: int) -> TheoremInstance | None:
@@ -535,7 +517,7 @@ def _probe(config: CampaignConfig) -> None:
     trial 0 of each op with each star, H or phi entry the family reads,
     hypotheses skipped, with every finite value at the top of the scale."""
     ops, pool = _pools(config)
-    top = 4.5 if config.scale == "extended" else 1.0
+    top = EXTENDED_TOP if config.scale == "extended" else 1.0
     for op in ops:
         for entry in [(e,) for e in pool] or [()]:
             try:
@@ -563,51 +545,51 @@ def run_campaign(
 ) -> CampaignReport:
     """Probe the config (see _probe), then run every trial.
 
+    on_record gets the header, one line per violation with its instance
+    (and the shrunk instance and margin, if shrinking found one), then the
+    summary.  The report keeps only the summary's records; an instance
+    regenerates as gen_instance(config, trial_index).
+
     A violation is any verdict with holds false: respecting campaigns exit
     nonzero only when a hypothesis-passing instance fails, and unmet
     regimes report their violations with hypotheses_met false.
     """
     _probe(config)
+    emit = on_record or (lambda record: None)
     hyp_pass = 0
     violations = []
-    if on_record is not None:
-        on_record(_header_json(config))
+    emit(_header_json(config))
     for i in range(config.trials):
         inst = gen_instance(config, i)
         verdict = verify(inst)
         if verdict.hypotheses_met:
             hyp_pass += 1
         if not verdict.holds:
-            inst_json = instance_to_json(inst)
             # the one serialisation of the instance, digested and streamed
-            inst_text = RawJSON(dumps_17g(inst_json))
-            shrunk_json = None
-            shrunk_margin = None
+            inst_text = RawJSON(dumps_17g(instance_to_json(inst)))
+            rec = ViolationRecord(i, verdict.margin, verdict.hypotheses_met, digest(inst_text))
+            violations.append(rec)
+            line = {
+                "record": "violation",
+                "trial": i,
+                "margin": rec.margin,
+                "hypotheses_met": rec.hypotheses_met,
+                "digest": rec.digest,
+                "instance": inst_text,
+            }
             if config.shrink:
                 shrunk, sv = shrink_instance(inst)
                 if shrunk is not None:
-                    shrunk_json = instance_to_json(shrunk)
-                    shrunk_margin = sv.margin
-            rec = ViolationRecord(
-                trial_index=i,
-                margin=verdict.margin,
-                hypotheses_met=verdict.hypotheses_met,
-                digest=digest(inst_text),
-                instance=inst_json,
-                shrunk=shrunk_json,
-                shrunk_margin=shrunk_margin,
-            )
-            violations.append(rec)
-            if on_record is not None:
-                on_record(dict(rec.to_json(), instance=inst_text))
+                    line["shrunk"] = instance_to_json(shrunk)
+                    line["shrunk_margin"] = sv.margin
+            emit(line)
     report = CampaignReport(
         config=config,
         trials=config.trials,
         hypothesis_pass_count=hyp_pass,
         violations=tuple(violations),
     )
-    if on_record is not None:
-        on_record(report.summary_json())
+    emit(report.summary_json())
     return report
 
 

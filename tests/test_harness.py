@@ -306,6 +306,13 @@ def test_interleaved_and_threaded_campaigns_draw_the_instances_they_draw_alone()
 # ---------------------------------------------------------------------------
 
 
+def stream_bytes(cfg) -> str:
+    """The NDJSON a campaign streams, as the CLI writes it."""
+    lines = []
+    run_campaign(cfg, on_record=lambda record: lines.append(dumps_17g(record) + "\n"))
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("respect", [True, False])
 def test_campaign_bytes_do_not_depend_on_warm_caches(respect):
     # a respecting campaign draws from the verified pools; prod as the op
@@ -315,10 +322,10 @@ def test_campaign_bytes_do_not_depend_on_warm_caches(respect):
         trials=60, seed=9, respect_hypotheses=respect, op_pool=pool, star_pool=pool + (max_op(1.0),)
     )
     _condition_cache.clear()
-    cold = run_campaign(cfg).to_ndjson()
-    warm = run_campaign(cfg).to_ndjson()
+    cold = stream_bytes(cfg)
+    warm = stream_bytes(cfg)
     _condition_cache.clear()
-    cleared = run_campaign(cfg).to_ndjson()
+    cleared = stream_bytes(cfg)
     assert warm == cold
     assert cleared == cold
     assert '"record":"violation"' in cold
@@ -354,17 +361,18 @@ def test_violations_reverify_in_isolation():
 
 def test_shrunk_instances_still_violate():
     cfg = falsifier_config(trials=40)
-    rep = run_campaign(cfg)
+    seen = []
+    run_campaign(cfg, on_record=seen.append)
     shrunk_seen = 0
-    for rec in rep.violations:
-        if rec.shrunk is None:
+    for line in seen:
+        if "shrunk" not in line:
             continue
         shrunk_seen += 1
-        small = instance_from_json(rec.shrunk)
-        assert small.measure.n <= instance_from_json(rec.instance).measure.n
+        small = instance_from_json(line["shrunk"])
+        assert small.measure.n <= instance_from_json(json.loads(line["instance"])).measure.n
         v = verify(small)
         assert not v.holds
-        assert v.margin == rec.shrunk_margin
+        assert v.margin == line["shrunk_margin"]
     assert shrunk_seen > 0
 
 
@@ -376,7 +384,7 @@ def test_ndjson_stream_is_parseable_and_complete():
     assert seen[-1]["record"] == "summary"
     body = [r for r in seen if r["record"] == "violation"]
     assert len(body) == len(rep.violations)
-    text = rep.to_ndjson()
+    text = "".join(dumps_17g(r) + "\n" for r in seen)
     lines = text.strip().split("\n")
     assert len(lines) == len(rep.violations) + 2
     for line in lines:
@@ -387,18 +395,18 @@ def test_ndjson_stream_is_parseable_and_complete():
 
 
 def test_streamed_lines_splice_the_instance_text_into_the_report_bytes():
+    cfg = falsifier_config(trials=40)
     seen = []
-    rep = run_campaign(falsifier_config(trials=40), on_record=seen.append)
-    assert any(v.shrunk is not None for v in rep.violations)
-    assert "".join(dumps_17g(r) + "\n" for r in seen) == rep.to_ndjson()
+    rep = run_campaign(cfg, on_record=seen.append)
     streamed = [r for r in seen if r["record"] == "violation"]
+    assert any("shrunk" in line for line in streamed)
     assert len(streamed) == len(rep.violations) > 0
     for line, rec in zip(streamed, rep.violations):
         assert type(line["instance"]) is RawJSON
-        assert isinstance(rec.instance, dict)
-        assert json.loads(line["instance"]) == rec.instance
-        assert line["digest"] == rec.digest == digest(rec.instance)
-        assert line["shrunk"] is rec.shrunk
+        regenerated = instance_to_json(gen_instance(cfg, rec.trial_index))
+        assert json.loads(line["instance"]) == regenerated
+        assert (line["trial"], line["margin"]) == (rec.trial_index, rec.margin)
+        assert line["digest"] == rec.digest == digest(regenerated)
 
 
 def test_raw_json_digests_as_its_document():
@@ -440,14 +448,20 @@ def test_condition_cache_stays_bounded_and_bytes_do_not_change(monkeypatch):
         respect_hypotheses=False,
     )
     _condition_cache.clear()
-    unbounded = run_campaign(cfg).to_ndjson()
+    unbounded = stream_bytes(cfg)
     assert len(_condition_cache) > 16
     monkeypatch.setattr(inequalities, "_CACHE_LIMIT", 16)
     _condition_cache.clear()
     sizes = []
-    bounded = run_campaign(cfg, on_record=lambda _: sizes.append(len(_condition_cache)))
+    bounded = []
+
+    def collect(record):
+        sizes.append(len(_condition_cache))
+        bounded.append(dumps_17g(record) + "\n")
+
+    run_campaign(cfg, on_record=collect)
     assert max(sizes + [len(_condition_cache)]) <= 16
-    assert bounded.to_ndjson() == unbounded
+    assert "".join(bounded) == unbounded
     _condition_cache.clear()
 
 

@@ -22,6 +22,7 @@ from fuzzyint import (
     h_max,
     h_min,
     h_prod,
+    h_table,
     h_wmean,
     identity,
     max_op,
@@ -365,3 +366,23 @@ def test_probsum_star_reverse_bound_holds():
     g = FiniteFunction((0.1, 0.4, 0.9))
     v = verify(make("rev_chebyshev", max_op(1.0), m, [f, g], star=probsum_op()))
     assert v.holds and v.direction == "<="
+
+
+def test_decreasing_table_aggregation_is_flagged_with_its_witness():
+    H = h_table((0.0, 0.25), (1, 0, 0, 0))
+    inst = make(
+        "thm32", min_op(), counting_measure(2, normalized=True),
+        [FiniteFunction((0.2, 0.5)), FiniteFunction((0.1, 0.4))], H=H,
+    )
+    check = verify(inst).hypothesis_report.check("aggregator_nondecreasing")
+    assert not check.passed
+    assert check.witness == (0.0, 0.0, 0, 0.1875)
+
+
+def test_infinite_integrals_fail_the_finiteness_check():
+    f = FiniteFunction((math.inf, 1.0))
+    v = verify(make("chebyshev", prod_op(), counting_measure(2), [f, f], star=min_op()))
+    assert v.lhs == v.rhs == math.inf
+    check = v.hypothesis_report.check("finite_integrals")
+    assert not check.passed
+    assert check.witness == (math.inf,)

@@ -247,3 +247,11 @@ def test_infinite_cap_grid_includes_absorbing_row():
     rep = verify_op_properties(prod_op(), properties=("annihilator_zero",))
     assert rep.passed
     assert math.isinf(prod_op().cap)
+
+
+def test_nondecreasing_check_finds_a_drop_along_the_second_argument():
+    # nondecreasing in a, decreasing in b: only the second sweep sees it
+    op = custom_op(lambda a, b: a * (1 - b), 0.0, 1.0, ["nondecreasing"])
+    check = verify_op_properties(op).check("nondecreasing")
+    assert not check.passed
+    assert check.witness == (0.01, 0.0, 0.01)

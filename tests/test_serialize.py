@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyint import (
+    CampaignConfig,
     CappedFunction,
     ConstFunction,
     DistortedLebesgue,
@@ -32,6 +33,7 @@ from fuzzyint import (
     dumps_17g,
     function_from_json,
     function_to_json,
+    gen_instance,
     greatest_op,
     h_min,
     h_table,
@@ -446,3 +448,12 @@ def test_instance_json_is_self_contained():
 def test_instance_digest_separates_distinct_instances():
     digests = {instance_digest(i) for i in build_instances()}
     assert len(digests) == len(build_instances())
+
+
+@pytest.mark.parametrize("tid", ["thm31", "thm41"])
+def test_generated_instances_with_u_and_psi_round_trip(tid):
+    inst = gen_instance(CampaignConfig(theorem_id=tid, seed=3, trials=1), 0)
+    doc = instance_to_json(inst)
+    assert len(doc["u"]) == 3 and len(doc["psi"]) == 2
+    back = instance_from_json(json.loads(dumps_17g(doc)))
+    assert instance_digest(back) == instance_digest(inst)
