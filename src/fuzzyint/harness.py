@@ -51,7 +51,9 @@ from .inequalities import (
     NaryOp,
     TheoremInstance,
     _cached,
+    _instance_form,
     _op_report,
+    _verdict,
     h_min,
     verify,
 )
@@ -482,11 +484,17 @@ def shrink_instance(inst: TheoremInstance):
     """Greedy one-element reduction keeping the verdict violating.
 
     Candidates are verified with skip_hypotheses, so the returned verdict
-    carries holds, margin and sides but no hypothesis report.
+    carries holds, margin and sides but no hypothesis report.  Dropping an
+    element keeps the function count, so every candidate has the family
+    form of inst, derived once here.
     """
     if not isinstance(inst.measure, FiniteMonotoneMeasure):
         return None, None
     if not all(isinstance(f, FiniteFunction) for f in inst.functions):
+        return None, None
+    try:
+        form = _instance_form(inst)
+    except InputError:  # every candidate would raise it
         return None, None
     current = inst
     current_verdict = None
@@ -500,7 +508,7 @@ def shrink_instance(inst: TheoremInstance):
             try:
                 # only holds and margin are read; neither depends on the
                 # hypothesis checks
-                v = verify(cand, skip_hypotheses=True)
+                v = _verdict(cand, form, None, True)
             except InputError:
                 continue
             if not v.holds:

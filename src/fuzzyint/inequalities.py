@@ -3,18 +3,19 @@
 Every family compares two integral expressions built from the same data,
 and each is written once, as sides.  A side is ``outer(∫ inner(f))``: a
 transform of the integrand, the instance's integral, and a map of the
-value.  A single-function family (thm33, jensen, rev_jensen, lyapunov,
-rev_transform) has one side on the left and one on the right.  An n-ary
-family of aggregation H has one side for ``∫ H(pre(f))`` on the left,
-and one per function ``f_i`` on the right, which is
-``H(pre_i(outer_i(∫ inner_i f_i)))``.  The transform families thm31 and
-thm41 take their sides from the transforms u and their pre maps from
-psi.  Every other family is a power family: its sides are ``(x ↦ x**xi,
-v ↦ v**omega)`` and its pre maps are the identity.  The two-function
-families are the power families at arity 2 with H = ⋆ (kind
-``binary``): chebyshev has all exponents 1, holder, minkowski and their
-reverses derive xi and omega from p, q, s or k, and star_general and the
-seminormed families read all six.
+value.  A family of n functions and aggregation H has one side for
+``∫ H(pre(f))`` on the left, and one per function ``f_i`` on the right,
+which is ``H(pre_i(outer_i(∫ inner_i f_i)))``.  The transform families
+thm31 and thm41 take their sides from the transforms u and their pre
+maps from psi.  thm32, thm42_h and the two-function families are power
+families: sides ``(x ↦ x**xi, v ↦ v**omega)``, identity pre maps.  The
+two-function families are at arity 2 with H = ⋆ (kind ``binary``):
+chebyshev has all exponents 1, holder, minkowski and their reverses
+derive xi and omega from p, q, s or k, and star_general and the
+seminormed families read all six.  The single-function families (thm33,
+jensen, rev_jensen, lyapunov, rev_transform) are at arity 1 with H and
+pre the identity, and two sides from phi (lyapunov: its orders r, s).
+:func:`_form` derives H, sides and pre; one verdict body evaluates them.
 
 The aggregations min, max and prod, and H = ⋆, are one computation: a
 left fold of a BinaryOp ``H.op`` over the arguments.  The right side
@@ -86,6 +87,7 @@ from .functions import (
     IDENTITY,
     FiniteFunction,
     MonotoneTransform,
+    affine,
     apply_transform,
     is_comonotone,
     is_continuous,
@@ -228,6 +230,10 @@ class NaryOp:
         for a in args:
             idx = idx * len(self.nodes) + nearest_indices(self.nodes, a)
         return np.asarray(self.values, dtype=float)[idx]
+
+
+# H of a single-function family: min of one argument under an infinite cap
+_H_IDENTITY = NaryOp("min", 1)
 
 
 def h_min(arity: int = 2) -> NaryOp:
@@ -487,10 +493,11 @@ def _outer_pow(e: float):
     return IDENTITY if e == 1.0 else partial(_pow, e=e)
 
 
-def _single_sides(tid: str, phi: Sequence[MonotoneTransform], exps):
+def _single_sides(tid: str, phi: Sequence[MonotoneTransform], ex: Mapping):
     """(inner, outer) of the lhs and then of the rhs of a single-function family.
 
-    exps is (r, s) for lyapunov; a missing phi reads as the identity.
+    lyapunov reads its orders r and s from ex; a missing phi reads as the
+    identity.
     """
     if tid in ("jensen", "rev_jensen"):
         t = phi[0] if phi else IDENTITY
@@ -500,7 +507,7 @@ def _single_sides(tid: str, phi: Sequence[MonotoneTransform], exps):
         if len(phi) != 2:
             raise InputError("transform comparison needs two transforms")
         return tuple((t, partial(_pinv, t)) for t in phi)
-    r, s = exps
+    r, s = _lyapunov_exponents(ex)
     return (power(s), _outer_pow(1.0 / s)), (power(r), _outer_pow(1.0 / r))
 
 
@@ -518,25 +525,36 @@ def _nary_sides(tid: str, n: int, u, psi, xi, om):
     return tuple((power(x), _outer_pow(w)) for x, w in zip(xi, om)), (IDENTITY,) * n
 
 
-def _nary_shape(tid: str, star: BinaryOp | None, H: NaryOp | None, ex: Mapping, n: int):
-    """(H, xi, omega) of a two-function or n-ary family of n functions.
+def _form(tid: str, n: int, star, H, u, psi, phi, ex: Mapping):
+    """(H, sides, pre, xi, omega) of a family of n functions.
 
-    A two-function family aggregates with H = star; xi and omega are
-    empty for thm31 and thm41.
+    sides and pre are as _nary_sides gives them.  A two-function family
+    aggregates with H = star; a single-function family is the form at
+    arity 1, with H the identity and its sides from phi.  xi and omega
+    are empty where the family has no exponent vectors.  The form reads
+    no measure and no function value.
     """
+    if tid in SINGLE_FUNCTION_IDS:
+        if n != 1:
+            raise InputError("single-function families need exactly one function")
+        return _H_IDENTITY, _single_sides(tid, phi, ex), (IDENTITY,), (), ()
+    xi = om = ()
     if tid in TWO_FUNCTION_IDS:
         if n != 2:
             raise InputError("two-function families need exactly two functions")
         if star is None:
             raise InputError("two-function families need a pointwise operation")
-        return (NaryOp("binary", op=star),) + _two_function_exponents(tid, ex)
-    if H is None:
-        raise InputError("n-ary families need an aggregation")
-    if H.arity != n:
-        raise InputError("aggregation arity must match the function count")
-    if tid in ("thm32", "thm42_h"):
-        return (H,) + _nary_exponents(ex, n)
-    return H, (), ()
+        H = NaryOp("binary", op=star)
+        xi, om = _two_function_exponents(tid, ex)
+    else:
+        if H is None:
+            raise InputError("n-ary families need an aggregation")
+        if H.arity != n:
+            raise InputError("aggregation arity must match the function count")
+        if tid in ("thm32", "thm42_h"):
+            xi, om = _nary_exponents(ex, n)
+    sides, pre = _nary_sides(tid, n, u, psi, xi, om)
+    return H, sides, pre, xi, om
 
 
 def _tapply(t, v: float) -> float:
@@ -575,23 +593,10 @@ def _fails(lhs, rhs, reverse: bool):
     return lhs < rhs - _SCALAR_SLACK
 
 
-def _single_condition(tid: str, op: BinaryOp, phi, exps, dnodes, cnodes) -> CheckResult:
-    if tid not in SINGLE_FUNCTION_IDS:
-        raise InputError(f"no scalar condition for {tid}")
-    sides = _single_sides(tid, phi, exps)
-
-    def fail(g, a, c):
-        lhs, rhs = (_grid_side(g, op, a, c, inner, outer) for inner, outer in sides)
-        return _fails(lhs, rhs, tid in REVERSE_IDS)
-
-    return grid_check("scalar_condition", (dnodes, cnodes), fail)
-
-
 def _nary_condition(
-    tid: str, op: BinaryOp, H: NaryOp, u, psi, xi, om, reverse: bool, dnodes, cnodes
+    op: BinaryOp, H: NaryOp, sides, pre, reverse: bool, dnodes, cnodes
 ) -> CheckResult:
     n = H.arity
-    sides, pre = _nary_sides(tid, n, u, psi, xi, om)
 
     def fail(g, *xs):
         args, c = xs[:n], xs[n]
@@ -620,13 +625,14 @@ def check_scalar_condition(
 ) -> PropertyReport:
     """Grid check of the per-threshold condition of one family.
 
-    condition ids coincide with the theorem catalog.  A two-function
-    condition is the n-ary one at arity 2 with H = star (kind ``binary``)
-    and the family's exponent vectors.  Every op argument, star's
-    included, is clamped to that op's cap before evaluation.  The grid
-    spans [0, hi_data] for function values and [0, hi_measure] for
-    measure values, defaulting to the op domain (capped at 2 when
-    unbounded).  A single-function grid has 21 nodes per axis, the others
+    condition ids coincide with the theorem catalog.  Every condition is
+    the n-ary one on the family's form: a two-function condition at arity
+    2 with H = star (kind ``binary``) and the family's exponent vectors, a
+    single-function one at arity 1 with H the identity.  Every op
+    argument, star's included, is clamped to that op's cap before
+    evaluation.  The grid spans [0, hi_data] for function values and
+    [0, hi_measure] for measure values, defaulting to the op domain
+    (capped at 2 when unbounded).  A single-function grid has 21 nodes per axis, the others
     30000 ** (1 / (arity + 1)) rounded and kept within 5 to 13.  Slack
     1e-12 absorbs float noise from powers.
     """
@@ -636,29 +642,16 @@ def check_scalar_condition(
         hi_data = 1.0 if cap == 1.0 else 2.0
     if hi_measure is None:
         hi_measure = 1.0 if op.cap == 1.0 else 2.0
-    if condition_id in SINGLE_FUNCTION_IDS:
-        dnodes, cnodes = _range_nodes(hi_data, 21), _range_nodes(hi_measure, 21)
-        exps = _lyapunov_exponents(ex) if condition_id == "lyapunov" else None
-        check = _single_condition(condition_id, op, tuple(phi), exps, dnodes, cnodes)
-    elif condition_id in TWO_FUNCTION_IDS or condition_id in NARY_IDS:
-        arity = 2 if condition_id in TWO_FUNCTION_IDS or H is None else H.arity
-        H, xi, om = _nary_shape(condition_id, star, H, ex, arity)
-        n = min(13, max(5, int(round(30000 ** (1.0 / (H.arity + 1))))))
-        dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
-        check = _nary_condition(
-            condition_id,
-            op,
-            H,
-            tuple(u),
-            tuple(psi),
-            xi,
-            om,
-            condition_id in REVERSE_IDS,
-            dnodes,
-            cnodes,
-        )
-    else:
+    if condition_id not in THEOREM_IDS:
         raise InputError(f"unknown condition id {condition_id!r}")
+    if condition_id in SINGLE_FUNCTION_IDS:
+        arity, n = 1, 21
+    else:
+        arity = 2 if condition_id in TWO_FUNCTION_IDS or H is None else H.arity
+        n = min(13, max(5, int(round(30000 ** (1.0 / (arity + 1))))))
+    H, sides, pre, _, _ = _form(condition_id, arity, star, H, u, psi, phi, ex)
+    dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
+    check = _nary_condition(op, H, sides, pre, condition_id in REVERSE_IDS, dnodes, cnodes)
     meta = {"nodes": len(dnodes), "hi_data": hi_data, "hi_measure": hi_measure, "slack": _SCALAR_SLACK}
     return PropertyReport((check,), meta)
 
@@ -707,7 +700,7 @@ def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
     if finite:
         if any(f.n != funcs[0].n for f in funcs):
             raise InputError("carrier size mismatch")
-    elif not all(is_continuous(f) for f in funcs):
+    elif len(funcs) > 1 and not all(is_continuous(f) for f in funcs):
         raise InputError("cannot mix carriers in an aggregation")
     if H.op is not None:
         out = funcs[0]
@@ -718,8 +711,6 @@ def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
         return FiniteFunction(tuple(H(row) for row in zip(*(f.values for f in funcs))))
     if H.kind == "wmean":
         total = sum(H.weights)
-        from .functions import affine
-
         out = None
         for w, f in zip(H.weights, funcs):
             term = apply_transform(affine(w / total, 0.0), f) if w > 0.0 else None
@@ -925,24 +916,6 @@ def _scalar_check(inst: TheoremInstance) -> CheckResult:
     return _cached(key, run)
 
 
-def _verify_single(inst: TheoremInstance, tol, skip_hypotheses: bool) -> InequalityVerdict:
-    if len(inst.functions) != 1:
-        raise InputError("single-function families need exactly one function")
-    tid = inst.theorem_id
-    exps = _lyapunov_exponents(dict(inst.exponents)) if tid == "lyapunov" else None
-    sides = _single_sides(tid, inst.phi, exps)
-    results = tuple(_integral(inst, inner, inst.functions[0]) for inner, _ in sides)
-    lhs, rhs = (_tapply(outer, r.value) for (_, outer), r in zip(sides, results))
-
-    checks: list[CheckResult] = []
-    if not skip_hypotheses:
-        checks.append(_summary_check("op_properties", _op_report(inst.op)))
-        checks.extend(_measure_checks(inst))
-        checks.append(_scalar_check(inst))
-        checks.append(_finiteness_check(results))
-    return _mk_verdict(inst, lhs, rhs, checks, results, tol)
-
-
 # exponent range hypothesis: theorem id -> (data range, x**(1/(xi*om)) >= x);
 # a data range of None is the largest value of the functions
 _EXPONENT_RANGE = {
@@ -954,12 +927,17 @@ _EXPONENT_RANGE = {
 }
 
 
-def _verify_nary(inst: TheoremInstance, tol, skip_hypotheses: bool) -> InequalityVerdict:
-    """Two-function and n-ary families; the former with H = star."""
-    tid = inst.theorem_id
+def _instance_form(inst: TheoremInstance):
+    """The _form of inst's family, at the arity of its function count."""
     n = len(inst.functions)
-    H, xi, om = _nary_shape(tid, inst.star, inst.H, dict(inst.exponents), n)
-    sides, pre = _nary_sides(tid, n, inst.u, inst.psi, xi, om)
+    ex = dict(inst.exponents)
+    return _form(inst.theorem_id, n, inst.star, inst.H, inst.u, inst.psi, inst.phi, ex)
+
+
+def _verdict(inst: TheoremInstance, form, tol, skip_hypotheses: bool) -> InequalityVerdict:
+    """The verdict of inst, whose family form (see _form) is form."""
+    tid = inst.theorem_id
+    H, sides, pre, xi, om = form
     combined = _combine_nary(H, tuple(map(apply_transform, pre, inst.functions)))
     r_lhs = _integral(inst, sides[0][0], combined)
     lhs = _tapply(sides[0][1], r_lhs.value)
@@ -974,20 +952,21 @@ def _verify_nary(inst: TheoremInstance, tol, skip_hypotheses: bool) -> Inequalit
     checks: list[CheckResult] = []
     if not skip_hypotheses:
         checks.append(_summary_check("op_properties", _op_report(inst.op)))
-        if H.kind == "binary":
+        if tid in TWO_FUNCTION_IDS:
             checks.append(_summary_check("star_properties", _op_report(H.op)))
-        else:
+        elif tid in NARY_IDS:
             fin_nodes = _range_nodes(_snap_up(_data_max(inst.functions)), 9)
             checks.append(
                 _cached(("Hmono", H, fin_nodes), lambda: _check_H_nondecreasing(H, fin_nodes))
             )
-        checks.append(_comonotone_check(inst.functions))
+        if tid not in SINGLE_FUNCTION_IDS:
+            checks.append(_comonotone_check(inst.functions))
         checks.extend(_measure_checks(inst))
         if tid in _EXPONENT_RANGE:
             dmax, want_ge = _EXPONENT_RANGE[tid]
             if dmax is None:
                 dmax = _data_max(inst.functions)
-            prods = tuple(xi[i + 1] * om[i + 1] for i in range(n))
+            prods = tuple(x * w for x, w in zip(xi[1:], om[1:]))
             checks.append(_exponent_range_check(prods, dmax, want_ge))
         checks.append(_scalar_check(inst))
         checks.append(_finiteness_check(results))
@@ -1008,6 +987,4 @@ def verify(
     instances, otherwise 1e-9 plus the refinement tolerances of the
     integrals involved.
     """
-    if inst.theorem_id in SINGLE_FUNCTION_IDS:
-        return _verify_single(inst, tol, skip_hypotheses)
-    return _verify_nary(inst, tol, skip_hypotheses)
+    return _verdict(inst, _instance_form(inst), tol, skip_hypotheses)

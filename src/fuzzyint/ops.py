@@ -307,9 +307,9 @@ def xmul_grid(a, b):
 
 
 def _custom_arrays(op: BinaryOp, a, b):
-    # fn-backed ops have no kernel; call eval_op once per element.  Any
-    # error is only flagged here: GridEval.first raises it again at the
-    # node where a loop would have met it.
+    # fn-backed ops have a scalar kernel but no array kernel; call eval_op
+    # once per element.  Any error is only flagged here: GridEval.first
+    # raises it again at the node where a loop would have met it.
     a, b = np.broadcast_arrays(a, b)
     out = np.full(a.shape, math.nan)
     bad = np.zeros(a.shape, dtype=bool)

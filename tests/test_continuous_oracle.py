@@ -20,8 +20,9 @@ nondecreasing map of such parts, so those points suffice.
 The drawn cases cover forward min, prod, lukasiewicz and drastic, and
 reverse max, probsum and luk_conorm.  Every miss known is kept below as
 a strict xfail: three of the smallest and greatest pseudo-multiplications,
-which jump inside a span, against their closed forms, and five drawn
-cases against their sandwiches.
+which jump inside a span, against their closed forms, and four drawn
+cases against their sandwiches.  A fifth drawn case, drastic-full-level,
+passes and is kept as a plain test.
 """
 
 from __future__ import annotations

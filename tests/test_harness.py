@@ -35,6 +35,7 @@ from fuzzyint import (
 from fuzzyint import harness, inequalities
 from fuzzyint.harness import _drop_element, _rng_for
 from fuzzyint.inequalities import _condition_cache
+from fuzzyint.ops import FLAG_ANNIHILATOR, FLAG_NONDECREASING, custom_op
 from fuzzyint.serialize import RawJSON
 from conftest import is_monotone_table
 
@@ -434,6 +435,97 @@ def test_dropped_element_table_is_the_masks_without_its_bit(n):
         # built without the covering-pair scan, and monotone all the same
         for c in (cand, _drop_element(raw, j)):
             assert FiniteMonotoneMeasure(n - 1, c.measure.table) == c.measure
+
+
+def reference_shrink(inst):
+    """The greedy loop of shrink_instance, each candidate through the public
+    verify; also returns how many candidates raised and were skipped."""
+    current, current_verdict, skipped = inst, None, 0
+    changed = True
+    while changed:
+        changed = False
+        for j in range(current.measure.n):
+            cand = _drop_element(current, j)
+            if cand is None:
+                continue
+            try:
+                v = verify(cand, skip_hypotheses=True)
+            except InputError:
+                skipped += 1
+                continue
+            if not v.holds:
+                current, current_verdict, changed = cand, v, True
+                break
+    if current is inst:
+        return None, None, skipped
+    return current, current_verdict, skipped
+
+
+def banded_min(x, y):
+    # min on a band only: the rescaled measures of shrink candidates give
+    # larger integrals, so some candidates leave the band and raise
+    if x + y > 1.6:
+        raise InputError("banded min is undefined above its band")
+    return min(x, y)
+
+
+SHRINK_CONFIGS = {
+    "star_general": falsifier_config(trials=60),
+    "thm32": CampaignConfig(
+        theorem_id="thm32",
+        seed=9,
+        trials=60,
+        carrier="finite",
+        n_range=(2, 6),
+        op_pool=(min_op(1.0), prod_op(1.0)),
+        H_pool=(h_min(2), h_prod(2)),
+        exponent_ranges=(("omega_inner", (0.5, 2.0)), ("xi_inner", (0.5, 2.0))),
+        respect_hypotheses=False,
+    ),
+    "lyapunov": CampaignConfig(
+        theorem_id="lyapunov",
+        seed=5,
+        trials=60,
+        carrier="finite",
+        n_range=(2, 6),
+        op_pool=(min_op(1.0), prod_op(1.0)),
+        respect_hypotheses=False,
+        normalize_measure=False,
+    ),
+    "star_general-banded": dataclasses.replace(
+        falsifier_config(trials=60, seed=11),
+        star_pool=(
+            custom_op(banded_min, 1.0, 1.0, (FLAG_NONDECREASING, FLAG_ANNIHILATOR), "banded_min"),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SHRINK_CONFIGS)
+def test_shrink_matches_the_greedy_loop_through_verify(name):
+    cfg = SHRINK_CONFIGS[name]
+    violating = skipped = 0
+    for i in range(cfg.trials):
+        inst = gen_instance(cfg, i)
+        try:
+            if verify(inst, skip_hypotheses=True).holds:
+                continue
+        except InputError:
+            continue
+        violating += 1
+        want, want_verdict, k = reference_shrink(inst)
+        skipped += k
+        got, got_verdict = harness.shrink_instance(inst)
+        if want is None:
+            assert got is None and got_verdict is None
+            continue
+        assert got == want
+        if not name.endswith("-banded"):  # a callable-backed star has no JSON form
+            assert instance_digest(got) == instance_digest(want)
+        assert got_verdict.margin == want_verdict.margin
+        assert dumps_17g(got_verdict.to_json()) == dumps_17g(want_verdict.to_json())
+    assert violating > 0
+    assert skipped > 0 if name.endswith("-banded") else skipped == 0
 
 
 def test_condition_cache_stays_bounded_and_bytes_do_not_change(monkeypatch):

@@ -215,6 +215,14 @@ def test_arity_mismatch_rejected():
                     exponents={"xi": (1.0, 1.0), "omega": (1.0, 1.0)}))
 
 
+def test_single_function_family_reports_the_integral_error_for_a_non_function():
+    # at arity 1 there is nothing to combine, so the carrier error is the
+    # integral's, not the aggregation's
+    m = counting_measure(2, normalized=True)
+    with pytest.raises(InputError, match="finite measures pair with finite functions"):
+        verify(make("jensen", min_op(), m, [(0.2, 0.5)]))
+
+
 # ---------------------------------------------------------------------------
 # hypothesis diagnostics
 # ---------------------------------------------------------------------------
