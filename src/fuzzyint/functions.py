@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -474,6 +475,25 @@ def _comonotone_vectors(fv: Sequence[float], gv: Sequence[float]):
 
 # sample points of the unit interval in the comonotonicity checks
 COMONOTONE_SAMPLES = 257
+_SAMPLE_POINTS = tuple(i / (COMONOTONE_SAMPLES - 1) for i in range(COMONOTONE_SAMPLES))
+
+
+def _draw_samples(f) -> tuple:
+    sf = _sampler(f)
+    return tuple([sf(x) for x in _SAMPLE_POINTS])
+
+
+# a campaign checks the same few functions in many trials, and the
+# continuous types are frozen dataclasses, so f itself is the key
+_samples = lru_cache(maxsize=128)(_draw_samples)
+
+
+def _unit_samples(f) -> tuple:
+    """f at the sample points, drawn once per function while it is cached."""
+    try:
+        return _samples(f)
+    except TypeError:  # a field that cannot be hashed, such as a list of nodes
+        return _draw_samples(f)
 
 
 def _paired_values(f, g, what: str):
@@ -483,9 +503,7 @@ def _paired_values(f, g, what: str):
             raise InputError("carrier size mismatch")
         return f.values, g.values, None
     if is_continuous(f) and is_continuous(g):
-        xs = [i / (COMONOTONE_SAMPLES - 1) for i in range(COMONOTONE_SAMPLES)]
-        sf, sg = _sampler(f), _sampler(g)
-        return [sf(x) for x in xs], [sg(x) for x in xs], xs
+        return _unit_samples(f), _unit_samples(g), _SAMPLE_POINTS
     raise InputError(f"{what} needs two functions on one carrier")
 
 

@@ -15,18 +15,23 @@ candidates is seeded with 33 interior nodes and the best node is
 sharpened by ternary search; results carry the tolerance they were
 refined to and the number of threshold evaluations spent.
 
-The optimiser calls the op's scalar kernel (``op.kernel``) directly, so
-a threshold evaluation pays no kind dispatch and does not go through
-:func:`~fuzzyint.ops.eval_op`.  A finite profile's levels are read by
-index from its sweep (``levels``); the interval's are queried through
-``weak``/``strict``.  The evaluation count is kept arithmetically: one
-per mark, 35 per span and 2 per ternary step.
+The optimiser evaluates the op without :func:`~fuzzyint.ops.eval_op`, so
+a threshold evaluation pays no kind dispatch.  Each mark goes through the
+op's scalar kernel (``op.kernel``).  A finite profile's levels are read
+by index from its sweep (``levels``); the interval's are queried through
+``weak``/``strict``.  A span threshold is one call of a closure,
+``obj(t)``: it queries the level y, checks t and y against the op's cap
+inline and applies the op's unchecked arithmetic (``op.core``); a value
+out of range goes to the kernel, which raises its usual error.  Every
+comparison is folded by a sign, ``sgn * y > sgn * best``, with sgn = -1
+for the reverse (inf) formula, and keeps y itself, so the sign of a zero
+survives.  The evaluation count is kept arithmetically: one per mark, 35
+per span and 2 per ternary step.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -79,7 +84,9 @@ def _optimize(
     op: BinaryOp, profile: SurvivalProfile, tol: float, minimize: bool
 ) -> tuple[float, int, bool]:
     """Best of t (op) level(t); exact on candidate-attained profiles."""
-    better = operator.lt if minimize else operator.gt
+    # y beats best when sgn * y > sgn * best: y > best forward, y < best
+    # in reverse; the value kept is y itself, with its sign of zero
+    sgn = -1.0 if minimize else 1.0
     kern = op.kernel
     e = op.neutral
     # a smallest or greatest neutral inside (0, t_max) is a mark too
@@ -107,7 +114,7 @@ def _optimize(
     best = None
     for v, lv in zip(marks, marked):
         y = kern(v, lv)
-        if best is None or better(y, best):
+        if best is None or sgn * y > sgn * best:
             best = y
     if best is None:
         best = 0.0
@@ -116,6 +123,17 @@ def _optimize(
     if profile.exact:
         return best, evals, True
 
+    core, cap = op.core, op.cap
+
+    def obj(t):
+        # the interval's levels are floats, and so is t unless it is a mark,
+        # whose value the marks loop has already kept; a value out of range
+        # goes to the kernel, which raises
+        y = level(t)
+        if 0.0 <= t <= cap and 0.0 <= y <= cap:
+            return core(t, y)
+        return kern(t, y)
+
     bracket = max(tol / 8.0, 1e-14)
     finite_marks = [v for v in marks if math.isfinite(v)]
     for i in range(1, len(finite_marks)):
@@ -123,32 +141,32 @@ def _optimize(
         if not hi > lo:
             continue
         step = (hi - lo) / 34.0
-        seg_best_t, seg_best_y = lo, kern(lo, level(lo))
+        seg_best_t, seg_best_y = lo, obj(lo)
         for k in range(1, 34):
             t = lo + step * k
-            y = kern(t, level(t))
-            if better(y, seg_best_y):
+            y = obj(t)
+            if sgn * y > sgn * seg_best_y:
                 seg_best_t, seg_best_y = t, y
-        y_hi = kern(hi, level(hi))
+        y_hi = obj(hi)
         evals += 35
-        if better(y_hi, seg_best_y):
+        if sgn * y_hi > sgn * seg_best_y:
             seg_best_t, seg_best_y = hi, y_hi
-        if better(seg_best_y, best):
+        if sgn * seg_best_y > sgn * best:
             best = seg_best_y
         a = max(lo, seg_best_t - step)
         b = min(hi, seg_best_t + step)
         while b - a > bracket:
             m1 = a + (b - a) / 3.0
             m2 = b - (b - a) / 3.0
-            y1, y2 = kern(m1, level(m1)), kern(m2, level(m2))
+            y1, y2 = obj(m1), obj(m2)
             evals += 2
-            if better(y1, best):
+            if sgn * y1 > sgn * best:
                 best = y1
-            if better(y2, best):
+            if sgn * y2 > sgn * best:
                 best = y2
             # when the bracket is a few ulps wide a third of it can round
             # away; the same (a, b) would then repeat forever
-            if better(y2, y1) or y1 == y2:
+            if sgn * y2 >= sgn * y1:
                 if m1 == a:
                     break
                 a = m1
@@ -157,6 +175,14 @@ def _optimize(
                     break
                 b = m2
     return best, evals, False
+
+
+def _integrate(op: BinaryOp, profile: SurvivalProfile, tol: float, minimize: bool) -> IntegralResult:
+    """The optimiser's result with its pedigree, for a tol the search can reach."""
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"tol must be a finite number > 0, got {tol!r}")
+    value, evals, exact = _optimize(op, profile, tol, minimize)
+    return IntegralResult(value, 0.0 if exact else tol, evals, exact)
 
 
 def universal_integral(op: BinaryOp, m: Measure, f, tol: float = DEFAULT_TOL) -> IntegralResult:
@@ -169,8 +195,7 @@ def universal_integral(op: BinaryOp, m: Measure, f, tol: float = DEFAULT_TOL) ->
     _require(op, FLAG_NONDECREASING)
     _require(op, FLAG_ANNIHILATOR)
     profile = survival(m, f)
-    value, evals, exact = _optimize(op, profile, tol, minimize=False)
-    return IntegralResult(value, 0.0 if exact else tol, evals, exact)
+    return _integrate(op, profile, tol, minimize=False)
 
 
 def sugeno(m: Measure, f, tol: float = DEFAULT_TOL) -> IntegralResult:
@@ -204,8 +229,7 @@ def seminormed_integral(sc: BinaryOp, m: Measure, f, tol: float = DEFAULT_TOL) -
     profile = survival(m, f)
     if m.total > 1.0:
         raise InputError("seminormed integral needs m(X) <= 1")
-    value, evals, exact = _optimize(sc, profile, tol, minimize=False)
-    return IntegralResult(value, 0.0 if exact else tol, evals, exact)
+    return _integrate(sc, profile, tol, minimize=False)
 
 
 def semiconormed_integral(pa: BinaryOp, m: Measure, f, tol: float = DEFAULT_TOL) -> IntegralResult:
@@ -219,5 +243,4 @@ def semiconormed_integral(pa: BinaryOp, m: Measure, f, tol: float = DEFAULT_TOL)
     profile = survival(m, f)
     if pa.cap == 1.0 and m.total > 1.0:
         raise InputError("cap-1 reverse integral needs m(X) <= 1")
-    value, evals, exact = _optimize(pa, profile, tol, minimize=True)
-    return IntegralResult(value, 0.0 if exact else tol, evals, exact)
+    return _integrate(pa, profile, tol, minimize=True)

@@ -39,6 +39,8 @@ from .functions import (
     MonotoneTransform,
     PowerFunction,
     PwlFunction,
+    T_IDENTITY,
+    T_POWER,
     TransformedFunction,
     is_continuous,
 )
@@ -311,13 +313,37 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
 
     if isinstance(f, PowerFunction):
         coef, inv_p = f.coef, 1.0 / f.p
+        top, zero = g(1.0), g(0.0)
+        d = m.distortion
+        # a finite float x is distorted to x by the identity and to x ** p
+        # by a power, as their kernels compute it; others go through g
+        if d.kind == T_IDENTITY:
 
-        def weak(t: float) -> float:
-            if t <= 0.0:
-                return g(1.0)
-            if t >= coef:
-                return g(0.0)
-            return g(1.0 - (t / coef) ** inv_p)
+            def weak(t: float) -> float:
+                if t <= 0.0:
+                    return top
+                if t >= coef:
+                    return zero
+                return 1.0 - (t / coef) ** inv_p
+
+        elif d.kind == T_POWER:
+            q = d.p
+
+            def weak(t: float) -> float:
+                if t <= 0.0:
+                    return top
+                if t >= coef:
+                    return zero
+                return (1.0 - (t / coef) ** inv_p) ** q
+
+        else:
+
+            def weak(t: float) -> float:
+                if t <= 0.0:
+                    return top
+                if t >= coef:
+                    return zero
+                return g(1.0 - (t / coef) ** inv_p)
 
         # f is strictly increasing, so {f > t} and {f >= t} differ by at
         # most one point and have the same length

@@ -14,21 +14,24 @@ only, never a proof, and every report says so.
 There are two evaluators.  Scalar evaluation goes through a per-op
 kernel: every :class:`BinaryOp` builds its kernel once, at construction,
 with the kind, neutral and cap resolved, so a call pays no dispatch.
-:func:`eval_op` calls through ``op.kernel``, and hot loops such as the
-threshold optimiser hold the kernel itself.  The kernel stays scalar on
-purpose: the optimiser and the pointwise paths evaluate one pair at a
-time, where numpy's per-call overhead would cost several times the
-evaluation.  :func:`eval_grid` evaluates op over broadcast float arrays
-with one array kernel per kind.  Grid certificates go through
-:class:`GridEval`, which evaluates a whole grid at once yet reports the
-same first witness, and raises the same error, as a loop over the nodes
-in C order would.  A certificate on a product grid is one call of
-:func:`grid_check`, which names the first failing node; only the
-monotonicity, annihilator and neutral checks, whose witnesses are not
-grid nodes, drive a :class:`GridEval` themselves.  Powers and transforms
-in grid checks are scalar ``**`` applied to the distinct values of an
-array: numpy's SIMD ``np.power`` can differ from ``**`` in the last ulp,
-and that is enough to flip a comparison at the 1e-12 slack.
+The kernel validates both arguments and then applies the op's unchecked
+arithmetic, ``op.core``, which is built once too.  :func:`eval_op` calls
+through ``op.kernel``; hot loops hold the kernel itself, and the
+threshold optimiser, which validates its floats inline, calls ``core``.
+The kernel stays scalar on purpose: the optimiser and the pointwise
+paths evaluate one pair at a time, where numpy's per-call overhead would
+cost several times the evaluation.  :func:`eval_grid` evaluates op over
+broadcast float arrays with one array kernel per kind.  Grid
+certificates go through :class:`GridEval`, which evaluates a whole grid
+at once yet reports the same first witness, and raises the same error,
+as a loop over the nodes in C order would.  A certificate on a product
+grid is one call of :func:`grid_check`, which names the first failing
+node; only the monotonicity, annihilator and neutral checks, whose
+witnesses are not grid nodes, drive a :class:`GridEval` themselves.
+Powers and transforms in grid checks are scalar ``**`` applied to the
+distinct values of an array: numpy's SIMD ``np.power`` can differ from
+``**`` in the last ulp, and that is enough to flip a comparison at the
+1e-12 slack.
 """
 
 from __future__ import annotations
@@ -113,16 +116,20 @@ class BinaryOp:
     table_nodes: tuple[float, ...] = ()
     table_values: tuple[float, ...] = ()
     name: str = ""
-    # the scalar evaluator, built from the fields above once
+    # the scalar evaluator and its unchecked arithmetic, built from the
+    # fields above once
     kernel: Callable[[float, float], float] = field(init=False, compare=False, repr=False)
+    core: Callable[[float, float], float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.cap not in (1.0, INF):  # every grid and integral assumes one of the two
             raise InputError(f"op cap must be 1 or inf, got {self.cap:g}")
-        object.__setattr__(self, "kernel", _scalar_kernel(self))
+        core, kernel = _scalar_kernel(self)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "kernel", kernel)
 
     def __reduce__(self):
-        # the kernel is a closure and cannot be pickled; rebuild it instead
+        # the kernels are closures and cannot be pickled; rebuild them instead
         fields = (self.kind, self.neutral, self.cap, self.declared_flags, self.fn)
         return BinaryOp, fields + (self.table_nodes, self.table_values, self.name)
 
@@ -183,12 +190,13 @@ def nearest_indices(nodes: Sequence[float], x) -> np.ndarray:
     return np.where((j > 0) & (d < INF), k, 0)
 
 
-def _scalar_kernel(op: BinaryOp) -> Callable[[float, float], float]:
-    """op's scalar evaluator, with its kind, neutral and cap resolved now.
+def _scalar_kernel(op: BinaryOp):
+    """op's (core, kernel), with its kind, neutral and cap resolved now.
 
-    The kernel validates a, then b, as :func:`as_extvalue` does and with
-    its error text, then applies the kind's arithmetic to the floats.
-    Kinds that cannot evaluate raise after validating, on every call.
+    core is the kind's arithmetic on two floats already in [0, cap].  The
+    kernel validates a, then b, as :func:`as_extvalue` does and with its
+    error text, then applies core to the floats.  Kinds that cannot
+    evaluate raise in core, so after validating, on every call.
     """
     k, e, cap = op.kind, op.neutral, op.cap
     if k == KIND_MIN:
@@ -280,7 +288,7 @@ def _scalar_kernel(op: BinaryOp) -> Callable[[float, float], float]:
             as_extvalue(b, cap)
         return core(x, y)
 
-    return kernel
+    return core, kernel
 
 
 def eval_op(op: BinaryOp, a: float, b: float) -> float:

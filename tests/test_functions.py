@@ -39,6 +39,7 @@ from fuzzyint import (
     sum_op,
     sup_value,
 )
+from fuzzyint import functions
 from fuzzyint.functions import COMONOTONE_SAMPLES
 from conftest import rng_of
 
@@ -260,6 +261,57 @@ def test_continuous_nondecreasing_pairs_are_comonotone():
     g = PwlFunction((0.0, 1.0), (0.3, 0.8))
     ok, _ = is_comonotone(f, g)
     assert ok
+
+
+def _uncached_check(f, g, counter):
+    """The interval check on freshly drawn samples, witness points included."""
+    xs = [i / (COMONOTONE_SAMPLES - 1) for i in range(COMONOTONE_SAMPLES)]
+    sf, sg = functions._sampler(f), functions._sampler(g)
+    fv = [sf(x) for x in xs]
+    gv = [-sg(x) if counter else sg(x) for x in xs]
+    ok, w = functions._comonotone_vectors(fv, gv)
+    return (ok, w) if ok else (False, (xs[w[0]], xs[w[1]]))
+
+
+SAMPLED_KINDS = (
+    ConstFunction(0.4),
+    PowerFunction(2.0, 1.5),
+    PowerFunction(0.5),
+    PwlFunction((0.0, 0.5, 1.0), (0.1, 0.9, 0.6)),
+    PwlFunction((0.0, 0.25, 1.0), (0.8, 0.2, 0.1)),
+    CappedFunction(PowerFunction(1.0), 0.6),
+    FlooredFunction(PwlFunction((0.0, 1.0), (0.0, 0.9)), 0.3),
+    LatticeCombo("min", (PowerFunction(2.0), PwlFunction((0.0, 1.0), (0.2, 0.7)))),
+    TransformedFunction(PowerFunction(1.0), power(0.5)),
+    # list nodes cannot be hashed, so they are sampled without the cache
+    PwlFunction([0.0, 1.0], [0.2, 0.7]),
+)
+
+
+@pytest.mark.parametrize("counter", [False, True], ids=["comonotone", "countermonotone"])
+def test_cached_samples_check_as_freshly_drawn_ones(counter):
+    check = is_countermonotone if counter else is_comonotone
+    verdicts = set()
+    for f in SAMPLED_KINDS:
+        for g in SAMPLED_KINDS:
+            want = _uncached_check(f, g, counter)
+            # the second call reads both sample vectors from the cache
+            assert check(f, g) == want and check(f, g) == want, (f, g)
+            verdicts.add(want[0])
+    assert verdicts == {True, False}
+    # a pwl bump against a power is no comonotone pair, witness included
+    f, g = SAMPLED_KINDS[3], SAMPLED_KINDS[1]
+    ok, witness = is_comonotone(f, g)
+    assert not ok and (ok, witness) == _uncached_check(f, g, False)
+
+
+def test_sample_cache_is_bounded_and_keyed_by_value():
+    assert functions._samples.cache_info().maxsize == 128
+    f = PwlFunction((0.0, 0.5, 1.0), (0.1, 0.9, 0.6))
+    is_comonotone(f, f)
+    hits = functions._samples.cache_info().hits
+    is_comonotone(PwlFunction((0.0, 0.5, 1.0), (0.1, 0.9, 0.6)), f)
+    assert functions._samples.cache_info().hits == hits + 2
 
 
 def test_generated_systems_are_pairwise_comonotone():

@@ -12,14 +12,19 @@ from hypothesis import strategies as st
 
 from fuzzyint import (
     BinaryOp,
+    CappedFunction,
     ConstFunction,
     DistortedLebesgue,
     FiniteFunction,
     FiniteMonotoneMeasure,
+    FlooredFunction,
     InputError,
+    LatticeCombo,
     PowerFunction,
     PwlFunction,
     TransformedFunction,
+    affine,
+    compose,
     counting_measure,
     custom_op,
     drastic_op,
@@ -44,7 +49,9 @@ from fuzzyint import (
     table_op,
     universal_integral,
 )
+from fuzzyint import ops
 from fuzzyint.integrals import _optimize
+from fuzzyint.measures import SurvivalProfile
 from fuzzyint.ops import KIND_GREATEST, KIND_SMALLEST
 from conftest import random_finite_function, random_measure, rng_of
 
@@ -163,17 +170,21 @@ def test_step_function_integrates_to_op_of_level_and_measure():
             assert got == eval_op(op, c, m.value(mask))
 
 
-def _marks_loop(op, profile, minimize):
-    """The reference finite optimiser: a sorted mark set, each mark's level
-    queried through the profile's weak or strict function."""
-    level = profile.strict if minimize else profile.weak
-    better = operator.lt if minimize else operator.gt
+def _marks(op, profile):
     marks = {0.0, profile.t_max}
     marks.update(profile.candidates)
     if op.kind in (KIND_SMALLEST, KIND_GREATEST) and math.isfinite(op.neutral):
         if 0.0 < op.neutral < profile.t_max:
             marks.add(op.neutral)
-    marks = sorted(v for v in marks if 0.0 <= v <= profile.t_max)
+    return sorted(v for v in marks if 0.0 <= v <= profile.t_max)
+
+
+def _marks_loop(op, profile, minimize):
+    """The reference finite optimiser: a sorted mark set, each mark's level
+    queried through the profile's weak or strict function."""
+    level = profile.strict if minimize else profile.weak
+    better = operator.lt if minimize else operator.gt
+    marks = _marks(op, profile)
     best = None
     for v in marks:
         y = op.kernel(v, level(v))
@@ -235,6 +246,152 @@ def test_finite_optimiser_reads_the_sweep_as_the_marks_loop_queried_it(case):
     op, profile, minimize = case
     got = _outcome(lambda: _optimize(op, profile, 1e-12, minimize))
     assert got == _outcome(lambda: _marks_loop(op, profile, minimize))
+
+
+def _span_loop(op, profile, tol, minimize):
+    """The reference interval optimiser: the marks loop, then every span
+    seeded and sharpened with each threshold evaluated as
+    op.kernel(t, level(t)) and compared by operator.lt or gt."""
+    level = profile.strict if minimize else profile.weak
+    better = operator.lt if minimize else operator.gt
+    kern = op.kernel
+    best, evals, _ = _marks_loop(op, profile, minimize)
+    if profile.exact:
+        return best, evals, True
+    bracket = max(tol / 8.0, 1e-14)
+    finite_marks = [v for v in _marks(op, profile) if math.isfinite(v)]
+    for i in range(1, len(finite_marks)):
+        lo, hi = finite_marks[i - 1], finite_marks[i]
+        if not hi > lo:
+            continue
+        step = (hi - lo) / 34.0
+        seg_best_t, seg_best_y = lo, kern(lo, level(lo))
+        for k in range(1, 34):
+            t = lo + step * k
+            y = kern(t, level(t))
+            if better(y, seg_best_y):
+                seg_best_t, seg_best_y = t, y
+        y_hi = kern(hi, level(hi))
+        evals += 35
+        if better(y_hi, seg_best_y):
+            seg_best_t, seg_best_y = hi, y_hi
+        if better(seg_best_y, best):
+            best = seg_best_y
+        a = max(lo, seg_best_t - step)
+        b = min(hi, seg_best_t + step)
+        while b - a > bracket:
+            m1 = a + (b - a) / 3.0
+            m2 = b - (b - a) / 3.0
+            y1, y2 = kern(m1, level(m1)), kern(m2, level(m2))
+            evals += 2
+            if better(y1, best):
+                best = y1
+            if better(y2, best):
+                best = y2
+            if better(y2, y1) or y1 == y2:
+                if m1 == a:
+                    break
+                a = m1
+            else:
+                if m2 == b:
+                    break
+                b = m2
+    return best, evals, False
+
+
+_OP_KINDS = (
+    ops.KIND_MIN, ops.KIND_PROD, KIND_SMALLEST, KIND_GREATEST, ops.KIND_LUKASIEWICZ,
+    ops.KIND_DRASTIC, ops.KIND_MAX, ops.KIND_SUM, ops.KIND_PROBSUM, ops.KIND_LUK_CONORM,
+)
+
+
+@st.composite
+def interval_op_st(draw):
+    cap = draw(st.sampled_from((1.0, math.inf)))
+    neutral = draw(st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.0)))
+    kind = draw(st.sampled_from(_OP_KINDS + ("fn", "signed_zero", "table", "no_such_kind")))
+    if kind == "fn":
+        return BinaryOp(ops.KIND_CUSTOM, neutral, cap, fn=lambda a, b: a * b - a * 0.25)
+    if kind == "signed_zero":
+        # every value ties, so the first zero found must be the one kept
+        return BinaryOp(ops.KIND_CUSTOM, neutral, cap, fn=lambda a, b: (a - b) * 0.0)
+    if kind == "table":
+        return table_op((0.0, 0.5, 1.0), (0.0, 0.0, 0.0, 0.0, 0.25, 0.5, 0.0, 0.5, 1.0), neutral, cap)
+    return BinaryOp(kind, neutral, cap)
+
+
+power_fn_st = st.builds(
+    PowerFunction,
+    st.one_of(st.sampled_from((0.25, 0.5, 0.85, 1.0, 2.0)), st.floats(0.2, 4.0)),
+    # an int coef or node value is a mark the kernel would pass on as a float
+    st.sampled_from((0.5, 1.0, 1, 1.5, 2.5)),
+)
+
+
+@st.composite
+def pwl_fn_st(draw, nondecreasing=False):
+    inner = draw(st.lists(st.sampled_from((0.125, 0.25, 0.5, 0.75)), unique=True, max_size=3))
+    xs = (0.0, *sorted(inner), 1.0)
+    ys = draw(st.lists(st.sampled_from((0.0, 0, 0.125, 0.5, 0.9, 1.0, 1, 1.75)),
+                       min_size=len(xs), max_size=len(xs)))
+    return PwlFunction(xs, tuple(sorted(ys) if nondecreasing else ys))
+
+
+part_fn_st = st.one_of(power_fn_st, pwl_fn_st(nondecreasing=True))
+
+
+@st.composite
+def interval_fn_st(draw):
+    kind = draw(st.sampled_from(("const", "power", "pwl", "capped", "floored", "lattice", "transformed")))
+    if kind == "const":
+        return ConstFunction(draw(st.sampled_from((0.0, 0.5, 1.0, 1, 1.5))))
+    if kind == "power":
+        return draw(power_fn_st)
+    if kind == "pwl":
+        return draw(pwl_fn_st())
+    if kind == "capped":
+        return CappedFunction(draw(part_fn_st), draw(st.sampled_from((0.25, 0.6, 1.0, 2.0))))
+    if kind == "floored":
+        return FlooredFunction(draw(part_fn_st), draw(st.sampled_from((0.125, 0.5, 1.25))))
+    if kind == "lattice":
+        parts = draw(st.lists(part_fn_st, min_size=2, max_size=3))
+        return LatticeCombo(draw(st.sampled_from(("min", "max"))), tuple(parts))
+    t = draw(st.sampled_from((power(0.5), power(2.0), affine(2.0, 0.25), compose(power(1.5), affine(0.5)))))
+    return TransformedFunction(draw(part_fn_st), t)
+
+
+distortion_st = st.one_of(
+    st.just(identity()),
+    st.sampled_from((0.5, 1.35, 2.0)).map(power),
+    # slopes above 1 give m(X) > 1, past a cap-1 op's cap
+    st.sampled_from((0.5, 1.5, 3.0)).map(affine),
+)
+
+
+@given(interval_op_st(), interval_fn_st(), distortion_st,
+       st.sampled_from((1e-12, 1e-9, 1e-6)), st.booleans())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_span_search_evaluates_as_the_kernel_loop(op, f, g, tol, minimize):
+    profile = survival(DistortedLebesgue(g), f)
+    got = _outcome(lambda: _optimize(op, profile, tol, minimize))
+    assert got == _outcome(lambda: _span_loop(op, profile, tol, minimize))
+
+
+def test_span_search_raises_the_kernel_error_for_a_level_past_the_cap():
+    # m(X) = 2 under a cap-1 op: the kernel refuses the level at t = 0
+    profile = survival(DistortedLebesgue(affine(2.0)), PowerFunction(0.85))
+    for op in (min_op(1.0), prod_op(1.0), lukasiewicz_op()):
+        expected = _outcome(lambda: _span_loop(op, profile, 1e-12, False))
+        assert expected == (InputError, "value 2.0 outside [0, 1.0]")
+        assert _outcome(lambda: _optimize(op, profile, 1e-12, False)) == expected
+    # a level that leaves [0, 1] inside a span only, where no mark sees it
+    for bad in (2.0, math.nan, -0.5):
+        def weak(t, bad=bad):
+            return bad if 0.0 < t < 1.0 else 0.5
+        profile = SurvivalProfile(weak, weak, (0.0, 1.0), 1.0, False)
+        expected = _outcome(lambda: _span_loop(min_op(1.0), profile, 1e-12, False))
+        assert expected == (InputError, f"value {bad!r} outside [0, 1.0]")
+        assert _outcome(lambda: _optimize(min_op(1.0), profile, 1e-12, False)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +538,24 @@ def test_transform_argument_integrates_composite():
     f = TransformedFunction(PowerFunction(1.0), power(2.0))
     composed = float(universal_integral(min_op(), leb, f))
     assert composed == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_integrals_refuse_a_tolerance_the_search_cannot_reach(tol):
+    m, f = DistortedLebesgue(power(1.35)), PowerFunction(0.85)
+    integrals = (
+        lambda: universal_integral(prod_op(), m, f, tol),
+        lambda: sugeno(m, f, tol),
+        lambda: shilkret(m, f, tol),
+        lambda: smallest_e_integral(m, f, 0.5, tol),
+        lambda: seminormed_integral(min_op(1.0), m, f, tol),
+        lambda: semiconormed_integral(max_op(1.0), m, f, tol),
+    )
+    for integral in integrals:
+        with pytest.raises(InputError, match=r"tol must be a finite number > 0, got"):
+            integral()
+    # the finite carrier needs no refinement, yet takes the same rule
+    with pytest.raises(InputError):
+        sugeno(counting_measure(2), FiniteFunction((0.5, 0.25)), tol)
+    res = sugeno(m, f)
+    assert res.tol == 1e-12 and res.candidates == 171

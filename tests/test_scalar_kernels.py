@@ -375,11 +375,13 @@ def test_incomplete_and_raising_customs_fail_as_before(op):
 
 def test_kernel_field_is_invisible_to_equality_hash_and_repr():
     a, b = min_op(1.0), min_op(1.0)
-    assert a == b and hash(a) == hash(b) and a.kernel is not b.kernel
-    assert "kernel" not in repr(a)
+    assert a == b and hash(a) == hash(b) and a.kernel is not b.kernel and a.core is not b.core
+    assert "kernel" not in repr(a) and "core" not in repr(a)
     assert {a: 1}[b] == 1
     widened = dataclasses.replace(a, cap=INF)
     assert widened.cap == INF and widened.kernel(2.0, 3.0) == 2.0
+    # core is the arithmetic alone: no cap check
+    assert a.core(2.0, 3.0) == 2.0
     with pytest.raises(InputError, match=r"value 2.0 outside \[0, 1.0\]"):
         a.kernel(2.0, 3.0)
 
