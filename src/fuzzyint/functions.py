@@ -6,7 +6,9 @@ with functions drawn from a small closed family: piecewise linear, scaled
 powers coef * x**p, constants, and min/max/transform wrappers over those.
 The family is closed under exactly the pointwise combinations the
 integral layer needs; anything else raises :class:`UnsupportedError`
-instead of silently approximating.
+instead of silently approximating.  A member is nondecreasing unless it
+holds a descending pwl piece, so only pairs with such a piece are checked
+for comonotonicity on sample points; the rest are comonotone by structure.
 
 Monotone transforms are strictly increasing maps of [0, inf) into
 itself, built from powers, affine maps a*x + b with a > 0 and b >= 0,
@@ -18,9 +20,7 @@ builds its scalar evaluator (``kernel``) once, at construction;
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -327,6 +327,8 @@ class LatticeCombo:
     def __post_init__(self):
         if self.kind not in ("min", "max"):
             raise InputError("lattice combo kind must be min or max")
+        if not self.parts:
+            raise InputError("lattice combo needs at least one part")
         for p in self.parts:
             if not is_nondecreasing_on_unit(p):
                 raise InputError("lattice combo parts must be nondecreasing")
@@ -448,12 +450,8 @@ def eval_at(f, x: float) -> float:
 
 
 def _comonotone_vectors(fv: Sequence[float], gv: Sequence[float]):
-    # both nondecreasing in carrier order: every pair is concordant, so
-    # one linear pass decides (a nan fails <= and goes on to the walk)
-    if all(map(operator.le, fv, fv[1:])) and all(map(operator.le, gv, gv[1:])):
-        return True, None
-    # otherwise walk groups of equal f in ascending order, tracking the largest g
-    # seen in strictly earlier groups; any later smaller g is a witness
+    # walk groups of equal f in ascending order, tracking the largest g seen
+    # in strictly earlier groups; any later smaller g is a witness
     order = sorted(range(len(fv)), key=lambda i: (fv[i], gv[i]))
     best_idx = -1
     best_g = -INF
@@ -478,22 +476,10 @@ COMONOTONE_SAMPLES = 257
 _SAMPLE_POINTS = tuple(i / (COMONOTONE_SAMPLES - 1) for i in range(COMONOTONE_SAMPLES))
 
 
-def _draw_samples(f) -> tuple:
+def _unit_samples(f) -> tuple:
+    """f at the sample points."""
     sf = _sampler(f)
     return tuple([sf(x) for x in _SAMPLE_POINTS])
-
-
-# a campaign checks the same few functions in many trials, and the
-# continuous types are frozen dataclasses, so f itself is the key
-_samples = lru_cache(maxsize=128)(_draw_samples)
-
-
-def _unit_samples(f) -> tuple:
-    """f at the sample points, drawn once per function while it is cached."""
-    try:
-        return _samples(f)
-    except TypeError:  # a field that cannot be hashed, such as a list of nodes
-        return _draw_samples(f)
 
 
 def _paired_values(f, g, what: str):
@@ -518,15 +504,16 @@ def _at_points(result, xs):
 def is_comonotone(f, g):
     """Check (f(x)-f(y))(g(x)-g(y)) >= 0 for all pairs.
 
-    Finite carriers compare every pair of points; the unit interval
-    compares the COMONOTONE_SAMPLES equally spaced points 0, 1/256, ..., 1.
-    Returns (ok, witness) where witness is a violating index pair, or a
-    violating sample pair on the continuous carrier.  When both value
-    vectors are nondecreasing in carrier order the answer is yes after one
-    linear pass; otherwise the check sorts by (f, g) and tracks the
-    running best g, so it is O(n log n) while agreeing with the quadratic
-    definition.
+    Finite carriers compare every pair of points.  On the unit interval two
+    nondecreasing functions are comonotone by structure, exactly (see
+    :func:`is_nondecreasing_on_unit`); a pair with a descending pwl piece
+    compares the COMONOTONE_SAMPLES points 0, 1/256, ..., 1.  Returns (ok,
+    witness), witness a violating index pair, or sample pair on the
+    interval.  The check sorts by (f, g) and tracks the running best g, so
+    it is O(n log n) while agreeing with the quadratic definition.
     """
+    if is_nondecreasing_on_unit(f) and is_nondecreasing_on_unit(g):
+        return True, None
     fv, gv, xs = _paired_values(f, g, "comonotonicity")
     return _at_points(_comonotone_vectors(fv, gv), xs)
 

@@ -163,8 +163,8 @@ class CampaignConfig:
     @classmethod
     @reading("campaign config")
     def from_json(cls, d: dict) -> "CampaignConfig":
-        """Config from its JSON document; a missing or mistyped field is an InputError."""
-        return cls(
+        """Config from its JSON document; a missing, mistyped or unknown field is an InputError."""
+        config = cls(
             theorem_id=d["theorem"],
             seed=_json_int(d["seed"], "seed"),
             trials=_json_int(d["trials"], "trials"),
@@ -189,6 +189,10 @@ class CampaignConfig:
             scale=d.get("scale", "unit"),
             shrink=_json_bool(d.get("shrink", True), "shrink"),
         )
+        unknown = sorted(set(d) - config.to_json().keys())
+        if unknown:
+            raise InputError(f"campaign config has unknown fields {', '.join(map(repr, unknown))}")
+        return config
 
 
 def _json_range(v, name: str) -> tuple[float, float]:

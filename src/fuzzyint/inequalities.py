@@ -53,6 +53,7 @@ themselves keep the scalar op kernels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -258,15 +259,6 @@ def h_table(nodes: Sequence[float], values: Sequence[float], arity: int = 2) -> 
     )
 
 
-def _tuples(nodes: Sequence[float], k: int):
-    if k == 0:
-        yield ()
-        return
-    for head in nodes:
-        for rest in _tuples(nodes, k - 1):
-            yield (head,) + rest
-
-
 def check_H_boundedness(H: NaryOp, mode: str) -> PropertyReport:
     """Grid check of H <= min (mode 'above_by_min') or H >= max on 0, 0.1, ..., 1."""
     if mode not in ("above_by_min", "below_by_max"):
@@ -284,7 +276,7 @@ def check_H_boundedness(H: NaryOp, mode: str) -> PropertyReport:
 
 
 def _check_H_nondecreasing(H: NaryOp, nodes: Sequence[float]) -> CheckResult:
-    for args in _tuples(tuple(nodes), H.arity):
+    for args in itertools.product(nodes, repeat=H.arity):
         base = H(args)
         for i in range(H.arity):
             for d in nodes:
@@ -476,8 +468,6 @@ def _pinv(t: MonotoneTransform, y: float) -> float:
 
 
 def _pow(x: float, e: float) -> float:
-    if e == 1.0:
-        return x
     if x == INF:
         return INF
     return x**e

@@ -22,6 +22,7 @@ lengths.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -269,28 +270,25 @@ def _pwl_level_length(f: PwlFunction, t: float, strict: bool) -> float:
 
 
 def _lattice_level(kind: str, levels: tuple) -> Callable[[float], float]:
-    """Pointwise min or max of level functions, ties broken as min/max do."""
-    if len(levels) != 2:
-        pick = min if kind == "min" else max
+    """Pointwise min or max of one or more level functions, as a left fold
+    of the two-part pick: the earlier part wins a tie, as min/max break it."""
 
-        def level(t: float) -> float:
-            return pick(q(t) for q in levels)
+    def pick(q0, q1):
+        if kind == "min":
+
+            def level(t: float) -> float:
+                a, b = q0(t), q1(t)
+                return b if b < a else a
+
+        else:
+
+            def level(t: float) -> float:
+                a, b = q0(t), q1(t)
+                return b if b > a else a
 
         return level
-    q0, q1 = levels
-    if kind == "min":
 
-        def level(t: float) -> float:
-            a, b = q0(t), q1(t)
-            return b if b < a else a
-
-    else:
-
-        def level(t: float) -> float:
-            a, b = q0(t), q1(t)
-            return b if b > a else a
-
-    return level
+    return functools.reduce(pick, levels)
 
 
 def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
@@ -315,19 +313,11 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
         coef, inv_p = f.coef, 1.0 / f.p
         top, zero = g(1.0), g(0.0)
         d = m.distortion
-        # a finite float x is distorted to x by the identity and to x ** p
-        # by a power, as their kernels compute it; others go through g
-        if d.kind == T_IDENTITY:
-
-            def weak(t: float) -> float:
-                if t <= 0.0:
-                    return top
-                if t >= coef:
-                    return zero
-                return 1.0 - (t / coef) ** inv_p
-
-        elif d.kind == T_POWER:
-            q = d.p
+        # a finite float x is distorted to x ** q by a power, as its kernel
+        # computes it, and by the identity as the power 1: x ** 1.0 is x
+        # bit for bit; others go through g
+        if d.kind in (T_IDENTITY, T_POWER):
+            q = d.p if d.kind == T_POWER else 1.0
 
             def weak(t: float) -> float:
                 if t <= 0.0:
@@ -395,7 +385,7 @@ def _profile_of(m: DistortedLebesgue, f) -> SurvivalProfile:
     if isinstance(f, LatticeCombo):
         # parts are nondecreasing, so each level set is a right interval
         # and the measure of the lattice combination is the lattice of
-        # the part measures, distortion included
+        # the part measures, distortion included, folded part by part
         parts = tuple(_profile_of(m, p) for p in f.parts)
         pick = min if f.kind == "min" else max
         weak = _lattice_level(f.kind, tuple(p.weak for p in parts))

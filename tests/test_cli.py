@@ -208,13 +208,15 @@ STAR_INSTANCE = dict(
         (("verify", "--theorem", "jensen"), dict(
             STAR_INSTANCE, theorem="jensen", functions=[{"type": "finite", "values": [1e300, 0.5]}],
             phi=[{"kind": "power", "p": 2}])),
+        (("integrate", "--integral", "sugeno"),
+         dict(LEB_SQRT, function={"type": "lattice", "mode": "min", "parts": []})),
     ],
     ids=["verify-without-op", "integrate-without-functions", "verify-nan-parameter",
          "verify-non-monotone-table", "verify-negative-affine-offset", "integrate-e-string",
          "integrate-e-bool", "integrate-tol-zero", "integrate-tol-negative",
          "verify-tol-negative", "verify-tol-inf", "verify-tol-nan", "verify-exponent-list",
          "verify-moment-order-list", "verify-exponent-string", "verify-exponent-bool",
-         "verify-power-overflow"],
+         "verify-power-overflow", "lattice-empty-parts"],
 )
 def test_bad_instance_document_exits_two(tmp_path, capsys, argv, doc):
     path = tmp_path / "inst.json"
@@ -315,10 +317,12 @@ PROBE_REFUSED = {
         {"theorem": "rev_minkowski", "exponent_ranges": {"k": [0.5, 2.0]}},
         {"op_pool": [{"kind": "max", "cap": 1}]},
         dict(_INTERVAL_CHEB, star_pool=[{"kind": "prod", "cap": 0}]),
+        {"respect_hypothesis": False},
     ] + [patch for patch, _ in PROBE_REFUSED.values()],
     ids=["trials-string", "n-range-reversed", "n-range-too-large", "negative-seed",
          "null-seed", "extended-cap-one", "unit-cap-half", "reverse-family-forward-op",
-         "forward-family-reverse-op", "interval-star-cap-zero", *PROBE_REFUSED],
+         "forward-family-reverse-op", "interval-star-cap-zero", "config-unknown-field",
+         *PROBE_REFUSED],
 )
 def test_falsify_bad_config_exits_two_before_any_output(tmp_path, capsys, patch):
     doc = dict(falsify_config_doc(), **patch)
@@ -363,6 +367,16 @@ def test_falsify_config_without_seed_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "falsify", "--theorem", "star_general", "--config", path)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "campaign config needs field 'seed'"}
+
+
+def test_falsify_config_with_a_misspelt_field_names_it(tmp_path, capsys):
+    doc = dict(falsify_config_doc(), respect_hypothesis=True, shrinks=False)
+    path = write(tmp_path, "config.json", doc)
+    code, out, err = run_cli(capsys, "falsify", "--theorem", "star_general", "--config", path)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "campaign config has unknown fields 'respect_hypothesis', 'shrinks'"
+    }
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ message.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -254,7 +255,7 @@ def ref_nary(tid, op, H, u, psi, xi, om, reverse, dnodes, cnodes):
     def ev(x, c):
         return eval_op(op, min(x, op.cap), c)
 
-    for args in ineq._tuples(dnodes, n):
+    for args in itertools.product(dnodes, repeat=n):
         base = tuple(psi[i].apply(args[i]) for i in range(n)) if transformed else args
         hval = ref_H(H, base)
         for c in cnodes:
@@ -619,7 +620,7 @@ def test_nary_condition_matches_loop(op, case, reverse, hi_d, hi_m):
 def ref_H_boundedness(H, mode):
     grid = [i / 10.0 for i in range(11)]
     name = f"bounded_{mode}"
-    for args in ineq._tuples(tuple(grid), H.arity):
+    for args in itertools.product(grid, repeat=H.arity):
         v = ref_H(H, args)
         if mode == "above_by_min" and v > min(args) + SLACK:
             return ops.PropertyReport((CheckResult(name, False, args),), {"n": len(grid)})
