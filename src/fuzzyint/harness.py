@@ -7,7 +7,10 @@ jump.  So any reported violation can be regenerated in isolation from
 (config, trial_index) alone.  Work that is the same for every trial (a
 thread's one Philox generator, moved to each trial by assigning its
 state; the popcount order of an n-point random table; a campaign's
-verified op pools) is done once, and never at import.  A campaign streams
+verified op pools) is done once, and never at import.  So is each
+interval draw: one power function or distorted measure per lattice
+value, shared by every trial that draws it while the bounded cache of
+:mod:`~fuzzyint.inequalities` holds it.  A campaign streams
 deterministic line-delimited JSON with no timestamps: same config, same
 bytes.  The stream is the record: each violation's instance is serialised
 once, its text giving both the digest and the streamed line's "instance",
@@ -326,16 +329,29 @@ def _draw_functions(config: CampaignConfig, rng: np.random.Generator, k: int):
         funcs = make_comonotone_system(rng, n, k, scale=config.scale)
         return n, tuple(funcs)
     # interval carrier: power functions share monotonicity, hence comonotone
-    funcs = tuple(PowerFunction(_lattice_draw(rng, 0.25, 2.5)) for _ in range(k))
+    funcs = tuple(_interned(PowerFunction, _lattice_draw(rng, 0.25, 2.5)) for _ in range(k))
     return 0, funcs
+
+
+def _interned(make, p: float):
+    """One shared make(p) per lattice value, held in the bounded cache.
+
+    Interval draws repeat; sharing them keeps the cached side integrals
+    from holding a copy of each trial's function and measure.
+    """
+    return _cached(("draw", make, p), lambda: make(p))
+
+
+def _lebesgue(p: float) -> DistortedLebesgue:
+    return DistortedLebesgue(power(p))
 
 
 def _draw_measure(config: CampaignConfig, rng: np.random.Generator, n: int, normalized: bool):
     if config.carrier == "lebesgue_power":
+        p = 1.0  # power(1.0) is the identity distortion
         if config.measure_family == "distorted":
             p = _lattice_draw(rng, *config.distortion_p_range)
-            return DistortedLebesgue(power(p))
-        return DistortedLebesgue(identity())
+        return _interned(_lebesgue, p)
     if config.measure_family == "counting":
         return counting_measure(n, normalized=normalized)
     return random_table_measure(rng, n, normalized=normalized)

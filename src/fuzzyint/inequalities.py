@@ -38,7 +38,10 @@ hypothesis-violating regimes can be studied deliberately.
 Scalar conditions are cached per parameter set, since campaigns reuse
 them heavily; the cache keeps its newest ``_CACHE_LIMIT`` entries, first
 in, first out, since drawn exponents make a new key on nearly every
-trial.  A scalar condition, the bound of H by min or max and the
+trial.  On the unit interval the same cache holds each function's side
+integral, keyed by value, since drawn functions and measures recur; a
+hit returns the result of the first computation, evaluation count
+included.  A scalar condition, the bound of H by min or max and the
 measure contraction are each one :func:`~fuzzyint.ops.grid_check`: the
 grid is evaluated as arrays, one broadcast per step of the check, the
 witness is the first failing node in the order of a loop over the grid,
@@ -96,7 +99,7 @@ from .functions import (
     power,
     sup_value,
 )
-from .measures import FiniteMonotoneMeasure, Measure
+from .measures import DistortedLebesgue, FiniteMonotoneMeasure, Measure
 from .integrals import (
     IntegralResult,
     semiconormed_integral,
@@ -555,6 +558,9 @@ def _tapply(t, v: float) -> float:
 # scalar condition checks (cached)
 # ---------------------------------------------------------------------------
 
+# the one bounded cache of pure results a campaign reuses: scalar
+# conditions, op reports, interval side integrals and the interval draws
+# the harness shares
 _condition_cache: OrderedDict = OrderedDict()
 _CACHE_LIMIT = 4096
 
@@ -647,7 +653,10 @@ def check_scalar_condition(
 
 
 def _cached(key, thunk):
-    hit = _condition_cache.get(key)
+    try:
+        hit = _condition_cache.get(key)
+    except TypeError:  # a part that cannot hash, such as a pwl built from lists
+        return thunk()
     if hit is None:
         hit = thunk()
         if len(_condition_cache) >= _CACHE_LIMIT:
@@ -663,15 +672,28 @@ def _cached(key, thunk):
 _PSUM = sum_op()
 
 
-def _integral(inst: TheoremInstance, t: MonotoneTransform, f) -> IntegralResult:
-    """The instance's integral of t(f)."""
-    if t is not IDENTITY:
-        f = apply_transform(t, f)
+def _integral(inst: TheoremInstance, g) -> IntegralResult:
+    """The instance's integral of the integrand g."""
     if inst.theorem_id in REVERSE_IDS:
-        return semiconormed_integral(inst.op, inst.measure, f)
+        return semiconormed_integral(inst.op, inst.measure, g)
     if inst.op.cap == 1.0:
-        return seminormed_integral(inst.op, inst.measure, f)
-    return universal_integral(inst.op, inst.measure, f)
+        return seminormed_integral(inst.op, inst.measure, g)
+    return universal_integral(inst.op, inst.measure, g)
+
+
+def _side_integral(inst: TheoremInstance, g) -> IntegralResult:
+    """_integral of one function's side; cached by value on the unit interval.
+
+    The key holds all that _integral reads: the direction, the op (and so
+    its cap), the measure and the integrand.  Drawn interval functions and
+    measures come from small lattices, so the same side recurs across
+    trials.  A finite table is drawn afresh each trial and integrates
+    exactly for less than hashing it costs, so it is not cached.
+    """
+    if not isinstance(inst.measure, DistortedLebesgue):
+        return _integral(inst, g)
+    key = ("side", inst.theorem_id in REVERSE_IDS, inst.op, inst.measure, g)
+    return _cached(key, lambda: _integral(inst, g))
 
 
 def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
@@ -929,12 +951,12 @@ def _verdict(inst: TheoremInstance, form, tol, skip_hypotheses: bool) -> Inequal
     tid = inst.theorem_id
     H, sides, pre, xi, om = form
     combined = _combine_nary(H, tuple(map(apply_transform, pre, inst.functions)))
-    r_lhs = _integral(inst, sides[0][0], combined)
+    r_lhs = _integral(inst, apply_transform(sides[0][0], combined))
     lhs = _tapply(sides[0][1], r_lhs.value)
     parts = []
     results = [r_lhs]
     for t, f, (inner, outer) in zip(pre, inst.functions, sides[1:]):
-        r_i = _integral(inst, inner, f)
+        r_i = _side_integral(inst, apply_transform(inner, f))
         results.append(r_i)
         parts.append(_tapply(t, _tapply(outer, r_i.value)))
     rhs = H(tuple(parts))

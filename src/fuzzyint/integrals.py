@@ -25,8 +25,9 @@ inline and applies the op's unchecked arithmetic (``op.core``); a value
 out of range goes to the kernel, which raises its usual error.  Every
 comparison is folded by a sign, ``sgn * y > sgn * best``, with sgn = -1
 for the reverse (inf) formula, and keeps y itself, so the sign of a zero
-survives.  The evaluation count is kept arithmetically: one per mark, 35
-per span and 2 per ternary step.
+survives.  A span's ends are marks, so it reuses their values and
+evaluates only its 33 interior seeds.  The evaluation count is kept
+arithmetically: one per mark, 33 per span and 2 per ternary step.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ class IntegralResult:
 
     tol is 0 for exact candidate maxima; otherwise the refinement target
     the threshold search was driven to.  candidates counts threshold
-    evaluations actually performed.
+    evaluations actually performed; a result served from a cache (see
+    :mod:`~fuzzyint.inequalities`) repeats the count of the computation
+    that produced it.
     """
 
     value: float
@@ -105,15 +108,16 @@ def _optimize(
         if e_mark and marks[j := bisect_left(marks, e)] != e:
             marks.insert(j, e)
             marked.insert(j, levels[bisect_left(cands, e)])
+        ys = map(kern, marks, marked)
     else:
         level = profile.strict if minimize else profile.weak
         marks = {0.0, profile.t_max, *profile.candidates, *((e,) if e_mark else ())}
         marks = sorted(v for v in marks if 0.0 <= v <= profile.t_max)
-        marked = map(level, marks)
+        # kept: the spans start and end at the marks
+        ys = list(map(kern, marks, map(level, marks)))
 
     best = None
-    for v, lv in zip(marks, marked):
-        y = kern(v, lv)
+    for y in ys:
         if best is None or sgn * y > sgn * best:
             best = y
     if best is None:
@@ -126,29 +130,27 @@ def _optimize(
     core, cap = op.core, op.cap
 
     def obj(t):
-        # the interval's levels are floats, and so is t unless it is a mark,
-        # whose value the marks loop has already kept; a value out of range
-        # goes to the kernel, which raises
+        # t, a seed or a ternary point, and the interval's levels are
+        # floats; a value out of range goes to the kernel, which raises
         y = level(t)
         if 0.0 <= t <= cap and 0.0 <= y <= cap:
             return core(t, y)
         return kern(t, y)
 
     bracket = max(tol / 8.0, 1e-14)
-    finite_marks = [v for v in marks if math.isfinite(v)]
-    for i in range(1, len(finite_marks)):
-        lo, hi = finite_marks[i - 1], finite_marks[i]
+    ends = [(v, y) for v, y in zip(marks, ys) if math.isfinite(v)]
+    for i in range(1, len(ends)):
+        (lo, y_lo), (hi, y_hi) = ends[i - 1], ends[i]
         if not hi > lo:
             continue
         step = (hi - lo) / 34.0
-        seg_best_t, seg_best_y = lo, obj(lo)
+        seg_best_t, seg_best_y = lo, y_lo
         for k in range(1, 34):
             t = lo + step * k
             y = obj(t)
             if sgn * y > sgn * seg_best_y:
                 seg_best_t, seg_best_y = t, y
-        y_hi = obj(hi)
-        evals += 35
+        evals += 33
         if sgn * y_hi > sgn * seg_best_y:
             seg_best_t, seg_best_y = hi, y_hi
         if sgn * seg_best_y > sgn * best:

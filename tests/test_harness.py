@@ -30,6 +30,7 @@ from fuzzyint import (
     prod_op,
     reproduce_paper,
     run_campaign,
+    smallest_op,
     verify,
 )
 from fuzzyint import harness, inequalities
@@ -54,6 +55,19 @@ def chebyshev_config(trials=50, seed=424242, **kw):
     )
     base.update(kw)
     return CampaignConfig(**base)
+
+
+def interval_config(trials=100, seed=1, **kw):
+    """Chebyshev on distorted Lebesgue measures, as the benchmark's
+    interval workload draws it; seed 1 violates at 100 trials."""
+    base = dict(
+        carrier="lebesgue_power",
+        measure_family="distorted",
+        op_pool=(min_op(), prod_op(), smallest_op(0.5)),
+        star_pool=(min_op(), prod_op()),
+    )
+    base.update(kw)
+    return chebyshev_config(trials=trials, seed=seed, **base)
 
 
 def falsifier_config(trials=200, seed=77):
@@ -88,6 +102,19 @@ def test_different_trials_draw_different_instances():
     cfg = chebyshev_config()
     digests = {instance_digest(gen_instance(cfg, i)) for i in range(30)}
     assert len(digests) == 30
+
+
+def test_equal_interval_draws_share_their_objects_and_keep_their_digests():
+    # trials 77 and 113 draw the same distortion and powers, and the ops
+    # min and prod; the digests are those of unshared draws
+    cfg = interval_config(trials=200)
+    _condition_cache.clear()
+    a, b = gen_instance(cfg, 77), gen_instance(cfg, 113)
+    assert a.measure is b.measure
+    assert all(f is g for f, g in zip(a.functions, b.functions))
+    assert (instance_digest(a), instance_digest(b)) == ("5f7ce4b962854bb6", "c9c0fb4410e986f8")
+    _condition_cache.clear()
+    assert instance_digest(gen_instance(cfg, 113)) == instance_digest(b)
 
 
 def test_different_seeds_decorrelate():
@@ -314,14 +341,23 @@ def stream_bytes(cfg) -> str:
     return "".join(lines)
 
 
-@pytest.mark.parametrize("respect", [True, False])
-def test_campaign_bytes_do_not_depend_on_warm_caches(respect):
+@pytest.mark.parametrize(
+    "carrier, respect",
+    [("finite", True), ("finite", False), ("lebesgue_power", True)],
+    ids=("True", "False", "lebesgue_power"),
+)
+def test_campaign_bytes_do_not_depend_on_warm_caches(carrier, respect):
     # a respecting campaign draws from the verified pools; prod as the op
-    # and max as the star make both campaigns violate, shrink included
-    pool = (min_op(1.0), prod_op(1.0))
-    cfg = chebyshev_config(
-        trials=60, seed=9, respect_hypotheses=respect, op_pool=pool, star_pool=pool + (max_op(1.0),)
-    )
+    # and max as the star make both finite campaigns violate, shrink
+    # included.  A warm interval campaign reads every side integral and
+    # every draw from the cache
+    if carrier == "finite":
+        pool = (min_op(1.0), prod_op(1.0))
+        cfg = chebyshev_config(
+            trials=60, seed=9, respect_hypotheses=respect, op_pool=pool, star_pool=pool + (max_op(1.0),)
+        )
+    else:
+        cfg = interval_config(respect_hypotheses=respect)
     _condition_cache.clear()
     cold = stream_bytes(cfg)
     warm = stream_bytes(cfg)
@@ -528,17 +564,25 @@ def test_shrink_matches_the_greedy_loop_through_verify(name):
     assert skipped > 0 if name.endswith("-banded") else skipped == 0
 
 
-def test_condition_cache_stays_bounded_and_bytes_do_not_change(monkeypatch):
-    cfg = CampaignConfig(
-        theorem_id="thm32",
-        seed=5,
-        trials=60,
-        n_range=(2, 4),
-        op_pool=(min_op(1.0), prod_op(1.0)),
-        H_pool=(h_min(2), h_prod(2)),
-        exponent_ranges=(("omega_inner", (0.5, 2.0)), ("xi_inner", (0.5, 2.0))),
-        respect_hypotheses=False,
-    )
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CampaignConfig(
+            theorem_id="thm32",
+            seed=5,
+            trials=60,
+            n_range=(2, 4),
+            op_pool=(min_op(1.0), prod_op(1.0)),
+            H_pool=(h_min(2), h_prod(2)),
+            exponent_ranges=(("omega_inner", (0.5, 2.0)), ("xi_inner", (0.5, 2.0))),
+            respect_hypotheses=False,
+        ),
+        # side integrals and interned draws, evicted before they recur
+        interval_config(),
+    ],
+    ids=("thm32", "lebesgue_power"),
+)
+def test_condition_cache_stays_bounded_and_bytes_do_not_change(monkeypatch, cfg):
     _condition_cache.clear()
     unbounded = stream_bytes(cfg)
     assert len(_condition_cache) > 16

@@ -13,6 +13,7 @@ from fuzzyint import (
     FiniteMonotoneMeasure,
     InputError,
     PowerFunction,
+    PwlFunction,
     TheoremInstance,
     THEOREM_IDS,
     affine,
@@ -30,8 +31,11 @@ from fuzzyint import (
     power,
     probsum_op,
     prod_op,
+    smallest_op,
     verify,
 )
+from fuzzyint import inequalities as ineq
+from fuzzyint.serialize import dumps_17g
 from conftest import rng_of, random_measure
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -347,6 +351,80 @@ def test_condition_results_are_cached_across_verifies():
     assert v1.hypothesis_report.check("scalar_condition") is v2.hypothesis_report.check(
         "scalar_condition"
     )
+
+
+def _side_keys():
+    return [k for k in ineq._condition_cache if k[0] == "side"]
+
+
+# interval instances built around a zero of either sign; the two of a pair
+# are equal, so their sides share cache keys
+_SIGNED_ZERO_CASES = {
+    "const": lambda z: make(
+        "chebyshev", min_op(1.0), LEB, [ConstFunction(z), PowerFunction(2.0)], star=min_op(1.0)
+    ),
+    "pwl": lambda z: make(
+        "chebyshev", prod_op(), LEB,
+        [PwlFunction((0.0, 0.5, 1.0), (z, 0.25, 1.0)), PowerFunction(0.5)], star=min_op(),
+    ),
+    "pwl-reverse": lambda z: make(
+        "rev_chebyshev", max_op(1.0), LEB,
+        [PwlFunction((0.0, 0.5, 1.0), (z, z, 0.75)), PowerFunction(1.5)], star=max_op(1.0),
+    ),
+    "pwl-transformed": lambda z: make(
+        "jensen", min_op(), LEB, [PwlFunction((0.0, 1.0), (z, 0.5))], phi=[power(2.0)]
+    ),
+    "affine-distortion": lambda z: make(
+        "chebyshev", smallest_op(0.5), DistortedLebesgue(affine(0.5, z)),
+        [PowerFunction(0.5), PowerFunction(2.0)], star=min_op(),
+    ),
+}
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0], ids=("first+0", "first-0"))
+@pytest.mark.parametrize("case", sorted(_SIGNED_ZERO_CASES))
+def test_warm_side_integrals_give_the_cold_verdict_for_either_sign_of_zero(case, first):
+    build = _SIGNED_ZERO_CASES[case]
+    second = -first
+
+    def cold(z):
+        ineq._condition_cache.clear()
+        return dumps_17g(verify(build(z)).to_json())
+
+    want = cold(second)
+    ineq._condition_cache.clear()
+    verify(build(first))
+    warmed = _side_keys()
+    assert warmed
+    # the second sign reads every side from the first's entries
+    assert dumps_17g(verify(build(second)).to_json()) == want
+    assert _side_keys() == warmed
+    assert dumps_17g(verify(build(first)).to_json()) == cold(first)
+    ineq._condition_cache.clear()
+
+
+def test_finite_verdicts_add_no_side_integral_to_the_cache():
+    inst = make("chebyshev", min_op(1.0), counting_measure(3, normalized=True),
+                [FiniteFunction((0.2, 0.5, 0.8)), FiniteFunction((0.1, 0.4, 0.9))], star=min_op(1.0))
+    ineq._condition_cache.clear()
+    verify(inst, skip_hypotheses=True)
+    assert len(ineq._condition_cache) == 0
+    verify(inst)
+    assert ineq._condition_cache and not _side_keys()
+    ineq._condition_cache.clear()
+
+
+def test_a_side_that_cannot_hash_is_integrated_uncached():
+    # a pwl built from lists is a valid function with no hash
+    def build(pwl):
+        return make("chebyshev", min_op(1.0), LEB, [pwl, PowerFunction(2.0)], star=min_op(1.0))
+
+    listed = PwlFunction([0.0, 0.5, 1.0], [0.0, 0.25, 1.0])
+    ineq._condition_cache.clear()
+    got = dumps_17g(verify(build(listed)).to_json())
+    assert len(_side_keys()) == 1
+    assert got == dumps_17g(verify(build(PwlFunction((0.0, 0.5, 1.0), (0.0, 0.25, 1.0)))).to_json())
+    ineq._condition_cache.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,8 @@ def test_finite_optimiser_reads_the_sweep_as_the_marks_loop_queried_it(case):
 def _span_loop(op, profile, tol, minimize):
     """The reference interval optimiser: the marks loop, then every span
     seeded and sharpened with each threshold evaluated as
-    op.kernel(t, level(t)) and compared by operator.lt or gt."""
+    op.kernel(t, level(t)) and compared by operator.lt or gt.  A span's
+    ends are marks, already counted, so it counts its 33 interior seeds."""
     level = profile.strict if minimize else profile.weak
     better = operator.lt if minimize else operator.gt
     kern = op.kernel
@@ -272,7 +273,7 @@ def _span_loop(op, profile, tol, minimize):
             if better(y, seg_best_y):
                 seg_best_t, seg_best_y = t, y
         y_hi = kern(hi, level(hi))
-        evals += 35
+        evals += 33
         if better(y_hi, seg_best_y):
             seg_best_t, seg_best_y = hi, y_hi
         if better(seg_best_y, best):
@@ -375,6 +376,29 @@ def test_span_search_evaluates_as_the_kernel_loop(op, f, g, tol, minimize):
     profile = survival(DistortedLebesgue(g), f)
     got = _outcome(lambda: _optimize(op, profile, tol, minimize))
     assert got == _outcome(lambda: _span_loop(op, profile, tol, minimize))
+
+
+@given(interval_op_st(), interval_fn_st(), distortion_st, st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_span_search_queries_one_level_per_counted_evaluation(op, f, g, minimize):
+    # a span's ends are marks, queried once, in the marks loop
+    profile = survival(DistortedLebesgue(g), f)
+    queries = 0
+
+    def counted(level):
+        def query(t):
+            nonlocal queries
+            queries += 1
+            return level(t)
+
+        return query
+
+    profile.weak, profile.strict = counted(profile.weak), counted(profile.strict)
+    try:
+        _, evals, _ = _optimize(op, profile, 1e-9, minimize)
+    except InputError:
+        return
+    assert queries == evals
 
 
 def test_span_search_raises_the_kernel_error_for_a_level_past_the_cap():
@@ -558,4 +582,4 @@ def test_integrals_refuse_a_tolerance_the_search_cannot_reach(tol):
     with pytest.raises(InputError):
         sugeno(counting_measure(2), FiniteFunction((0.5, 0.25)), tol)
     res = sugeno(m, f)
-    assert res.tol == 1e-12 and res.candidates == 171
+    assert res.tol == 1e-12 and res.candidates == 169

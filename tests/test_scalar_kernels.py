@@ -195,8 +195,9 @@ def ref_optimize(op, profile, tol, minimize):
     marks = sorted(v for v in marks if 0.0 <= v <= profile.t_max)
 
     best = None
+    at_mark = {}
     for v in marks:
-        y = h(v)
+        y = at_mark[v] = h(v)
         if best is None or better(y, best):
             best = y
     if best is None:
@@ -212,13 +213,14 @@ def ref_optimize(op, profile, tol, minimize):
         if not hi > lo:
             continue
         step = (hi - lo) / 34.0
-        seg_best_t, seg_best_y = lo, h(lo)
+        # a span's ends are marks, evaluated once, above
+        seg_best_t, seg_best_y = lo, at_mark[lo]
         for k in range(1, 34):
             t = lo + step * k
             y = h(t)
             if better(y, seg_best_y):
                 seg_best_t, seg_best_y = t, y
-        y_hi = h(hi)
+        y_hi = at_mark[hi]
         if better(y_hi, seg_best_y):
             seg_best_t, seg_best_y = hi, y_hi
         if better(seg_best_y, best):
