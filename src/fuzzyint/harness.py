@@ -9,14 +9,15 @@ thread's one Philox generator, moved to each trial by assigning its
 state; the popcount order of an n-point random table; a campaign's
 verified op pools) is done once, and never at import.  So is each
 interval draw: one power function or distorted measure per lattice
-value, shared by every trial that draws it while the bounded cache of
-:mod:`~fuzzyint.inequalities` holds it.  A campaign streams
-deterministic line-delimited JSON with no timestamps: same config, same
-bytes.  The stream is the record: each violation's instance is serialised
-once, its text giving both the digest and the streamed line's "instance",
-and the returned report keeps only each violation's trial, margin and
-digest.  Before the header, a probe runs the trial code on each pairing
-of pool entries a trial can draw.
+value, shared by every trial that draws it while the campaign's memo
+store holds it (see :func:`~fuzzyint.inequalities._memo`).  A campaign
+runs in fresh memo stores, so a second one in a process runs as cold as
+the first.  It streams deterministic line-delimited JSON with no
+timestamps: same config, same bytes.  The stream is the record: each
+violation's instance is serialised once, its text giving both the digest
+and the streamed line's "instance", and the returned report keeps only
+each violation's trial, margin and digest.  Before the header, a probe
+runs the trial code on each pairing of pool entries a trial can draw.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ from .inequalities import (
     InequalityVerdict,
     NaryOp,
     TheoremInstance,
-    _cached,
     _instance_form,
+    _memo,
     _op_report,
+    _stores,
     _verdict,
     h_min,
     verify,
@@ -329,19 +331,19 @@ def _draw_functions(config: CampaignConfig, rng: np.random.Generator, k: int):
         funcs = make_comonotone_system(rng, n, k, scale=config.scale)
         return n, tuple(funcs)
     # interval carrier: power functions share monotonicity, hence comonotone
-    funcs = tuple(_interned(PowerFunction, _lattice_draw(rng, 0.25, 2.5)) for _ in range(k))
+    funcs = tuple(_power_function(_lattice_draw(rng, 0.25, 2.5)) for _ in range(k))
     return 0, funcs
 
 
-def _interned(make, p: float):
-    """One shared make(p) per lattice value, held in the bounded cache.
+# one shared interval draw per lattice value: draws repeat, and sharing them
+# keeps the memoised side integrals from holding a copy of each trial's
+# function and measure
+@_memo
+def _power_function(p: float) -> PowerFunction:
+    return PowerFunction(p)
 
-    Interval draws repeat; sharing them keeps the cached side integrals
-    from holding a copy of each trial's function and measure.
-    """
-    return _cached(("draw", make, p), lambda: make(p))
 
-
+@_memo
 def _lebesgue(p: float) -> DistortedLebesgue:
     return DistortedLebesgue(power(p))
 
@@ -351,14 +353,15 @@ def _draw_measure(config: CampaignConfig, rng: np.random.Generator, n: int, norm
         p = 1.0  # power(1.0) is the identity distortion
         if config.measure_family == "distorted":
             p = _lattice_draw(rng, *config.distortion_p_range)
-        return _interned(_lebesgue, p)
+        return _lebesgue(p)
     if config.measure_family == "counting":
         return counting_measure(n, normalized=normalized)
     return random_table_measure(rng, n, normalized=normalized)
 
 
+@_memo
 def _verified_pool(pool: tuple[BinaryOp, ...]) -> tuple[BinaryOp, ...]:
-    return _cached(("pool", pool), lambda: tuple(op for op in pool if _op_report(op).passed))
+    return tuple(op for op in pool if _op_report(op).passed)
 
 
 def _pools(config: CampaignConfig) -> tuple[tuple, tuple]:
@@ -580,45 +583,50 @@ def run_campaign(
 
     A violation is any verdict with holds false: respecting campaigns exit
     nonzero only when a hypothesis-passing instance fails, and unmet
-    regimes report their violations with hypotheses_met false.
+    regimes report their violations with hypotheses_met false.  The
+    campaign memoises in stores of its own, which end with it.
     """
-    _probe(config)
-    emit = on_record or (lambda record: None)
-    hyp_pass = 0
-    violations = []
-    emit(_header_json(config))
-    for i in range(config.trials):
-        inst = gen_instance(config, i)
-        verdict = verify(inst)
-        if verdict.hypotheses_met:
-            hyp_pass += 1
-        if not verdict.holds:
-            # the one serialisation of the instance, digested and streamed
-            inst_text = RawJSON(dumps_17g(instance_to_json(inst)))
-            rec = ViolationRecord(i, verdict.margin, verdict.hypotheses_met, digest(inst_text))
-            violations.append(rec)
-            line = {
-                "record": "violation",
-                "trial": i,
-                "margin": rec.margin,
-                "hypotheses_met": rec.hypotheses_met,
-                "digest": rec.digest,
-                "instance": inst_text,
-            }
-            if config.shrink:
-                shrunk, sv = shrink_instance(inst)
-                if shrunk is not None:
-                    line["shrunk"] = instance_to_json(shrunk)
-                    line["shrunk_margin"] = sv.margin
-            emit(line)
-    report = CampaignReport(
-        config=config,
-        trials=config.trials,
-        hypothesis_pass_count=hyp_pass,
-        violations=tuple(violations),
-    )
-    emit(report.summary_json())
-    return report
+    token = _stores.set({})  # the campaign's own memo stores, probe included
+    try:
+        _probe(config)
+        emit = on_record or (lambda record: None)
+        hyp_pass = 0
+        violations = []
+        emit(_header_json(config))
+        for i in range(config.trials):
+            inst = gen_instance(config, i)
+            verdict = verify(inst)
+            if verdict.hypotheses_met:
+                hyp_pass += 1
+            if not verdict.holds:
+                # the one serialisation of the instance, digested and streamed
+                inst_text = RawJSON(dumps_17g(instance_to_json(inst)))
+                rec = ViolationRecord(i, verdict.margin, verdict.hypotheses_met, digest(inst_text))
+                violations.append(rec)
+                line = {
+                    "record": "violation",
+                    "trial": i,
+                    "margin": rec.margin,
+                    "hypotheses_met": rec.hypotheses_met,
+                    "digest": rec.digest,
+                    "instance": inst_text,
+                }
+                if config.shrink:
+                    shrunk, sv = shrink_instance(inst)
+                    if shrunk is not None:
+                        line["shrunk"] = instance_to_json(shrunk)
+                        line["shrunk_margin"] = sv.margin
+                emit(line)
+        report = CampaignReport(
+            config=config,
+            trials=config.trials,
+            hypothesis_pass_count=hyp_pass,
+            violations=tuple(violations),
+        )
+        emit(report.summary_json())
+        return report
+    finally:
+        _stores.reset(token)
 
 
 # ---------------------------------------------------------------------------

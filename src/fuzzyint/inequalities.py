@@ -35,18 +35,22 @@ precondition of the family is grid-checked and the verdict is flagged
 when any fails, but both sides are always evaluated so
 hypothesis-violating regimes can be studied deliberately.
 
-Scalar conditions are cached per parameter set, since campaigns reuse
-them heavily; the cache keeps its newest ``_CACHE_LIMIT`` entries, first
-in, first out, since drawn exponents make a new key on nearly every
-trial.  On the unit interval the same cache holds each function's side
-integral, keyed by value, since drawn functions and measures recur; a
-hit returns the result of the first computation, evaluation count
-included.  A scalar condition, the bound of H by min or max and the
-measure contraction are each one :func:`~fuzzyint.ops.grid_check`: the
-grid is evaluated as arrays, one broadcast per step of the check, the
-witness is the first failing node in the order of a loop over the grid,
-and an out-of-domain evaluation raises only where that loop would have
-reached it.  The monotonicity of H and the exponent range are loops.
+Campaigns reuse pure results heavily, so scalar conditions (per
+parameter set), op reports, measure contractions, the monotonicity of H
+and, on the unit interval, each function's side integral (by value,
+since drawn functions and measures recur) are memoised by
+:func:`_memo`; a hit returns the result of the first computation,
+evaluation count included.  Each memoised function keeps its own newest
+``_CACHE_LIMIT`` results, oldest out first, since drawn exponents make a
+new condition on nearly every trial.  The stores belong to the running
+campaign; calls outside one share a module default.
+
+A scalar condition, the bound of H by min or max and the measure
+contraction are each one :func:`~fuzzyint.ops.grid_check`: the grid is
+evaluated as arrays, one broadcast per step of the check, the witness is
+the first failing node in the order of a loop over the grid, and an
+out-of-domain evaluation raises only where that loop would have reached
+it.  The monotonicity of H and the exponent range are loops.
 Every condition clamps the arguments of an op, ⋆ included, to that op's
 cap before evaluating it.  Powers and transforms on a grid are the
 scalar functions applied to each distinct value, so they are bit for bit
@@ -59,8 +63,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import OrderedDict
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial, reduce, wraps
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -140,6 +145,48 @@ REVERSE_IDS = frozenset(
 )
 
 _SCALAR_SLACK = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# memoised results
+# ---------------------------------------------------------------------------
+
+# the most results one memoised function keeps
+_CACHE_LIMIT = 4096
+# {function: OrderedDict of its results by argument tuple}; a campaign sets
+# its own stores, and every call outside one shares this default
+_stores: ContextVar[dict] = ContextVar("memo_stores", default={})
+
+
+def _memo(fn):
+    """fn with its results kept by argument tuple in the current stores.
+
+    Each memoised function has its own store, which drops its oldest
+    result to admit one beyond _CACHE_LIMIT, so one function's results
+    never push out another's.  A hit is not moved to the end, since that
+    would hash its key again, and frozen-dataclass hashes run in Python.
+    Arguments that cannot hash, such as a pwl built from lists, are
+    computed uncached.
+    """
+
+    @wraps(fn)
+    def memoised(*args):
+        stores = _stores.get()
+        store = stores.get(fn)
+        if store is None:
+            store = stores[fn] = OrderedDict()
+        try:
+            hit = store.get(args)
+        except TypeError:
+            return fn(*args)
+        if hit is None:
+            hit = fn(*args)
+            if len(store) >= _CACHE_LIMIT:
+                store.popitem(last=False)
+            store[args] = hit
+        return hit
+
+    return memoised
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +325,7 @@ def check_H_boundedness(H: NaryOp, mode: str) -> PropertyReport:
     return PropertyReport((check,), {"n": len(grid)})
 
 
+@_memo
 def _check_H_nondecreasing(H: NaryOp, nodes: Sequence[float]) -> CheckResult:
     for args in itertools.product(nodes, repeat=H.arity):
         base = H(args)
@@ -555,14 +603,8 @@ def _tapply(t, v: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scalar condition checks (cached)
+# scalar condition checks
 # ---------------------------------------------------------------------------
-
-# the one bounded cache of pure results a campaign reuses: scalar
-# conditions, op reports, interval side integrals and the interval draws
-# the harness shares
-_condition_cache: OrderedDict = OrderedDict()
-_CACHE_LIMIT = 4096
 
 
 def _range_nodes(hi: float, n: int) -> tuple[float, ...]:
@@ -652,17 +694,13 @@ def check_scalar_condition(
     return PropertyReport((check,), meta)
 
 
-def _cached(key, thunk):
-    try:
-        hit = _condition_cache.get(key)
-    except TypeError:  # a part that cannot hash, such as a pwl built from lists
-        return thunk()
-    if hit is None:
-        hit = thunk()
-        if len(_condition_cache) >= _CACHE_LIMIT:
-            _condition_cache.popitem(last=False)
-        _condition_cache[key] = hit
-    return hit
+@_memo
+def _scalar_condition(tid, op, star, H, u, psi, phi, exponents, hi_data, hi_measure) -> CheckResult:
+    """The one check of check_scalar_condition; a campaign's instances share it."""
+    rep = check_scalar_condition(
+        tid, op, star, H, u, psi, phi, exponents, hi_data=hi_data, hi_measure=hi_measure
+    )
+    return rep.checks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -672,28 +710,20 @@ def _cached(key, thunk):
 _PSUM = sum_op()
 
 
-def _integral(inst: TheoremInstance, g) -> IntegralResult:
-    """The instance's integral of the integrand g."""
-    if inst.theorem_id in REVERSE_IDS:
-        return semiconormed_integral(inst.op, inst.measure, g)
-    if inst.op.cap == 1.0:
-        return seminormed_integral(inst.op, inst.measure, g)
-    return universal_integral(inst.op, inst.measure, g)
+def _integral(reverse: bool, op: BinaryOp, measure: Measure, g) -> IntegralResult:
+    """The integral of g: semiconormed in reverse, else seminormed under cap 1, else universal."""
+    if reverse:
+        return semiconormed_integral(op, measure, g)
+    if op.cap == 1.0:
+        return seminormed_integral(op, measure, g)
+    return universal_integral(op, measure, g)
 
 
-def _side_integral(inst: TheoremInstance, g) -> IntegralResult:
-    """_integral of one function's side; cached by value on the unit interval.
-
-    The key holds all that _integral reads: the direction, the op (and so
-    its cap), the measure and the integrand.  Drawn interval functions and
-    measures come from small lattices, so the same side recurs across
-    trials.  A finite table is drawn afresh each trial and integrates
-    exactly for less than hashing it costs, so it is not cached.
-    """
-    if not isinstance(inst.measure, DistortedLebesgue):
-        return _integral(inst, g)
-    key = ("side", inst.theorem_id in REVERSE_IDS, inst.op, inst.measure, g)
-    return _cached(key, lambda: _integral(inst, g))
+# a side integral on the unit interval, memoised by value: drawn interval
+# functions and measures come from small lattices, so the same side recurs
+# across trials.  A finite table is drawn afresh each trial and integrates
+# exactly for less than hashing it costs, so it is not memoised
+_interval_side = _memo(_integral)
 
 
 def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
@@ -740,8 +770,9 @@ def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
 # ---------------------------------------------------------------------------
 
 
+@_memo
 def _op_report(op: BinaryOp) -> PropertyReport:
-    return _cached(("opprops", op), lambda: verify_op_properties(op))
+    return verify_op_properties(op)
 
 
 def _summary_check(name: str, rep: PropertyReport) -> CheckResult:
@@ -751,18 +782,16 @@ def _summary_check(name: str, rep: PropertyReport) -> CheckResult:
     return CheckResult(name, False, failing[0].witness, ", ".join(c.name for c in failing))
 
 
+@_memo
 def _contraction_check(op: BinaryOp, total: float) -> CheckResult:
-    def run():
-        nodes = _range_nodes(1.0 if op.cap == 1.0 else 2.0, 41)
-        if op.cap == INF:
-            nodes += (INF,)
+    nodes = _range_nodes(1.0 if op.cap == 1.0 else 2.0, 41)
+    if op.cap == INF:
+        nodes += (INF,)
 
-        def fail(g, b, m):
-            return g.op(op, b, m) > b + _SCALAR_SLACK
+    def fail(g, b, m):
+        return g.op(op, b, m) > b + _SCALAR_SLACK
 
-        return grid_check("measure_contraction", (nodes, (total,)), fail)
-
-    return _cached(("contraction", op, total), run)
+    return grid_check("measure_contraction", (nodes, (total,)), fail)
 
 
 def _normalized_check(total: float) -> CheckResult:
@@ -893,41 +922,6 @@ def _snap_up(x: float) -> float:
     return max(0.25, math.ceil(x * 4.0 - 1e-9) / 4.0)
 
 
-def _scalar_check(inst: TheoremInstance) -> CheckResult:
-    hi_d = _snap_up(_data_max(inst.functions))
-    hi_m = _snap_up(inst.measure.total)
-    key = (
-        "cond",
-        inst.theorem_id,
-        inst.op,
-        inst.star,
-        inst.H,
-        inst.u,
-        inst.psi,
-        inst.phi,
-        inst.exponents,
-        hi_d,
-        hi_m,
-    )
-
-    def run():
-        rep = check_scalar_condition(
-            inst.theorem_id,
-            inst.op,
-            star=inst.star,
-            H=inst.H,
-            u=inst.u,
-            psi=inst.psi,
-            phi=inst.phi,
-            exponents=inst.exponents,
-            hi_data=hi_d,
-            hi_measure=hi_m,
-        )
-        return rep.checks[0]
-
-    return _cached(key, run)
-
-
 # exponent range hypothesis: theorem id -> (data range, x**(1/(xi*om)) >= x);
 # a data range of None is the largest value of the functions
 _EXPONENT_RANGE = {
@@ -951,36 +945,36 @@ def _verdict(inst: TheoremInstance, form, tol, skip_hypotheses: bool) -> Inequal
     tid = inst.theorem_id
     H, sides, pre, xi, om = form
     combined = _combine_nary(H, tuple(map(apply_transform, pre, inst.functions)))
-    r_lhs = _integral(inst, apply_transform(sides[0][0], combined))
+    rev = tid in REVERSE_IDS
+    r_lhs = _integral(rev, inst.op, inst.measure, apply_transform(sides[0][0], combined))
     lhs = _tapply(sides[0][1], r_lhs.value)
+    side = _interval_side if isinstance(inst.measure, DistortedLebesgue) else _integral
     parts = []
     results = [r_lhs]
     for t, f, (inner, outer) in zip(pre, inst.functions, sides[1:]):
-        r_i = _side_integral(inst, apply_transform(inner, f))
+        r_i = side(rev, inst.op, inst.measure, apply_transform(inner, f))
         results.append(r_i)
         parts.append(_tapply(t, _tapply(outer, r_i.value)))
     rhs = H(tuple(parts))
 
     checks: list[CheckResult] = []
     if not skip_hypotheses:
+        data_max = _data_max(inst.functions)
+        hi_data = _snap_up(data_max)
         checks.append(_summary_check("op_properties", _op_report(inst.op)))
         if tid in TWO_FUNCTION_IDS:
             checks.append(_summary_check("star_properties", _op_report(H.op)))
         elif tid in NARY_IDS:
-            fin_nodes = _range_nodes(_snap_up(_data_max(inst.functions)), 9)
-            checks.append(
-                _cached(("Hmono", H, fin_nodes), lambda: _check_H_nondecreasing(H, fin_nodes))
-            )
+            checks.append(_check_H_nondecreasing(H, _range_nodes(hi_data, 9)))
         if tid not in SINGLE_FUNCTION_IDS:
             checks.append(_comonotone_check(inst.functions))
         checks.extend(_measure_checks(inst))
         if tid in _EXPONENT_RANGE:
-            dmax, want_ge = _EXPONENT_RANGE[tid]
-            if dmax is None:
-                dmax = _data_max(inst.functions)
+            span, want_ge = _EXPONENT_RANGE[tid]
             prods = tuple(x * w for x, w in zip(xi[1:], om[1:]))
-            checks.append(_exponent_range_check(prods, dmax, want_ge))
-        checks.append(_scalar_check(inst))
+            checks.append(_exponent_range_check(prods, data_max if span is None else span, want_ge))
+        cond = (tid, inst.op, inst.star, inst.H, inst.u, inst.psi, inst.phi, inst.exponents)
+        checks.append(_scalar_condition(*cond, hi_data, _snap_up(inst.measure.total)))
         checks.append(_finiteness_check(results))
     return _mk_verdict(inst, lhs, rhs, checks, tuple(results), tol)
 

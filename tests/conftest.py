@@ -6,10 +6,13 @@ failing case can be reproduced from the seed alone.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from fuzzyint import FiniteFunction, FiniteMonotoneMeasure, random_table_measure
+from fuzzyint.inequalities import _stores
 
 
 def rng_of(seed: int) -> np.random.Generator:
@@ -22,6 +25,16 @@ def random_finite_function(rng: np.random.Generator, n: int) -> FiniteFunction:
 
 def random_measure(rng: np.random.Generator, n: int, normalized: bool = True) -> FiniteMonotoneMeasure:
     return random_table_measure(rng, n, normalized=normalized)
+
+
+@contextlib.contextmanager
+def fresh_stores():
+    """Empty memo stores for the block, as a campaign has; yields them."""
+    token = _stores.set({})
+    try:
+        yield _stores.get()
+    finally:
+        _stores.reset(token)
 
 
 def is_monotone_table(m: FiniteMonotoneMeasure) -> bool:

@@ -649,8 +649,7 @@ def ref_contraction(op, total):
 
 
 def uncached_contraction(op, total):
-    ineq._condition_cache.clear()
-    return ineq._contraction_check(op, total)
+    return ineq._contraction_check.__wrapped__(op, total)
 
 
 # totals above a cap of 1, and nan, make every evaluation raise

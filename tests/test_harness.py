@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import sys
@@ -35,10 +36,9 @@ from fuzzyint import (
 )
 from fuzzyint import harness, inequalities
 from fuzzyint.harness import _drop_element, _rng_for
-from fuzzyint.inequalities import _condition_cache
 from fuzzyint.ops import FLAG_ANNIHILATOR, FLAG_NONDECREASING, custom_op
 from fuzzyint.serialize import RawJSON
-from conftest import is_monotone_table
+from conftest import fresh_stores, is_monotone_table
 
 
 def chebyshev_config(trials=50, seed=424242, **kw):
@@ -108,13 +108,15 @@ def test_equal_interval_draws_share_their_objects_and_keep_their_digests():
     # trials 77 and 113 draw the same distortion and powers, and the ops
     # min and prod; the digests are those of unshared draws
     cfg = interval_config(trials=200)
-    _condition_cache.clear()
-    a, b = gen_instance(cfg, 77), gen_instance(cfg, 113)
+    with fresh_stores():
+        a, b = gen_instance(cfg, 77), gen_instance(cfg, 113)
     assert a.measure is b.measure
     assert all(f is g for f, g in zip(a.functions, b.functions))
     assert (instance_digest(a), instance_digest(b)) == ("5f7ce4b962854bb6", "c9c0fb4410e986f8")
-    _condition_cache.clear()
-    assert instance_digest(gen_instance(cfg, 113)) == instance_digest(b)
+    with fresh_stores():
+        again = gen_instance(cfg, 113)
+    assert again.measure is not b.measure
+    assert instance_digest(again) == instance_digest(b)
 
 
 def test_different_seeds_decorrelate():
@@ -306,14 +308,18 @@ def test_interleaved_and_threaded_campaigns_draw_the_instances_they_draw_alone()
     assert interleaved == alone
 
     # more threads than cores; all start each trial together and switch
-    # often inside it
+    # often inside it.  Then each runs its campaign, in memo stores of its own
+    streams = [stream_bytes(c) for c in cfgs]
     threaded = [[] for _ in cfgs]
+    threaded_streams = [None] * len(cfgs)
     barrier = threading.Barrier(len(cfgs))
 
     def run(k):
         for i in range(30):
             barrier.wait(timeout=60)
             threaded[k].append(instance_digest(gen_instance(cfgs[k], i)))
+        barrier.wait(timeout=60)
+        threaded_streams[k] = stream_bytes(cfgs[k])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -327,6 +333,7 @@ def test_interleaved_and_threaded_campaigns_draw_the_instances_they_draw_alone()
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert threaded == alone
+    assert threaded_streams == streams
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +356,8 @@ def stream_bytes(cfg) -> str:
 def test_campaign_bytes_do_not_depend_on_warm_caches(carrier, respect):
     # a respecting campaign draws from the verified pools; prod as the op
     # and max as the star make both finite campaigns violate, shrink
-    # included.  A warm interval campaign reads every side integral and
-    # every draw from the cache
+    # included.  Verified twice in the same stores, an interval trial
+    # reads every side integral and every draw from them
     if carrier == "finite":
         pool = (min_op(1.0), prod_op(1.0))
         cfg = chebyshev_config(
@@ -358,14 +365,18 @@ def test_campaign_bytes_do_not_depend_on_warm_caches(carrier, respect):
         )
     else:
         cfg = interval_config(respect_hypotheses=respect)
-    _condition_cache.clear()
     cold = stream_bytes(cfg)
-    warm = stream_bytes(cfg)
-    _condition_cache.clear()
-    cleared = stream_bytes(cfg)
-    assert warm == cold
-    assert cleared == cold
     assert '"record":"violation"' in cold
+
+    def verdicts():
+        return [dumps_17g(verify(gen_instance(cfg, i)).to_json()) for i in range(cfg.trials)]
+
+    with fresh_stores():
+        first = verdicts()
+        assert verdicts() == first
+    # the default stores, warmed by the same trials, do not reach a campaign
+    assert verdicts() == first
+    assert stream_bytes(cfg) == cold
 
 
 def test_respecting_campaign_is_clean_and_exits_zero():
@@ -564,6 +575,16 @@ def test_shrink_matches_the_greedy_loop_through_verify(name):
     assert skipped > 0 if name.endswith("-banded") else skipped == 0
 
 
+def counting(calls: collections.Counter, name: str, fn):
+    """fn, counting its calls in calls[name]."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -577,28 +598,72 @@ def test_shrink_matches_the_greedy_loop_through_verify(name):
             exponent_ranges=(("omega_inner", (0.5, 2.0)), ("xi_inner", (0.5, 2.0))),
             respect_hypotheses=False,
         ),
-        # side integrals and interned draws, evicted before they recur
+        # side integrals and draws, evicted before they recur
         interval_config(),
     ],
     ids=("thm32", "lebesgue_power"),
 )
 def test_condition_cache_stays_bounded_and_bytes_do_not_change(monkeypatch, cfg):
-    _condition_cache.clear()
-    unbounded = stream_bytes(cfg)
-    assert len(_condition_cache) > 16
+    # each memoised function keeps its own store, so a bound that the side
+    # integrals and draws overrun evicts no op report and no scalar condition
+    calls = collections.Counter()
+    for name in ("verify_op_properties", "check_scalar_condition"):
+        monkeypatch.setattr(inequalities, name, counting(calls, name, getattr(inequalities, name)))
+
+    def run():
+        calls.clear()
+        sizes = []
+        lines = []
+
+        def collect(record):
+            sizes.append(max(map(len, inequalities._stores.get().values()), default=0))
+            lines.append(dumps_17g(record) + "\n")
+
+        run_campaign(cfg, on_record=collect)
+        return "".join(lines), max(sizes), dict(calls)
+
+    unbounded, largest, unbounded_calls = run()
+    assert largest > 16
     monkeypatch.setattr(inequalities, "_CACHE_LIMIT", 16)
-    _condition_cache.clear()
-    sizes = []
-    bounded = []
+    bounded, largest, bounded_calls = run()
+    assert largest <= 16
+    assert bounded == unbounded
+    assert bounded_calls["verify_op_properties"] == unbounded_calls["verify_op_properties"]
+    if cfg.carrier == "lebesgue_power":
+        assert bounded_calls == unbounded_calls == {"verify_op_properties": 3, "check_scalar_condition": 6}
 
-    def collect(record):
-        sizes.append(len(_condition_cache))
-        bounded.append(dumps_17g(record) + "\n")
 
-    run_campaign(cfg, on_record=collect)
-    assert max(sizes + [len(_condition_cache)]) <= 16
-    assert "".join(bounded) == unbounded
-    _condition_cache.clear()
+def test_two_campaigns_in_one_process_each_run_cold(monkeypatch):
+    calls = collections.Counter()
+    check = inequalities.check_scalar_condition
+    monkeypatch.setattr(inequalities, "check_scalar_condition", counting(calls, "cond", check))
+    cfg = chebyshev_config(trials=30, seed=3)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        runs.append((stream_bytes(cfg), calls["cond"]))
+    assert runs[0][1] > 0
+    assert runs[1] == runs[0]
+
+
+def test_a_campaign_leaves_its_callers_stores_as_it_found_them():
+    # the caller's stores hold a few of the campaign's trials; a campaign
+    # that wrote to them would add the others.  Outside, the module
+    # default stores are current again
+    cfg = interval_config(trials=40)
+    default = inequalities._stores.get()
+    with fresh_stores() as stores:
+        for i in range(0, 40, 7):
+            verify(gen_instance(cfg, i))
+
+        def snapshot():
+            return {fn: list(store.items()) for fn, store in stores.items()}
+
+        before = snapshot()
+        run_campaign(cfg)
+        assert inequalities._stores.get() is stores
+        assert snapshot() == before
+    assert inequalities._stores.get() is default
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from fuzzyint import (
 )
 from fuzzyint import inequalities as ineq
 from fuzzyint.serialize import dumps_17g
-from conftest import rng_of, random_measure
+from conftest import fresh_stores, rng_of, random_measure
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LEB = DistortedLebesgue(identity())
@@ -354,7 +354,7 @@ def test_condition_results_are_cached_across_verifies():
 
 
 def _side_keys():
-    return [k for k in ineq._condition_cache if k[0] == "side"]
+    return list(ineq._stores.get().get(ineq._interval_side.__wrapped__, ()))
 
 
 # interval instances built around a zero of either sign; the two of a pair
@@ -388,30 +388,28 @@ def test_warm_side_integrals_give_the_cold_verdict_for_either_sign_of_zero(case,
     second = -first
 
     def cold(z):
-        ineq._condition_cache.clear()
-        return dumps_17g(verify(build(z)).to_json())
+        with fresh_stores():
+            return dumps_17g(verify(build(z)).to_json())
 
     want = cold(second)
-    ineq._condition_cache.clear()
-    verify(build(first))
-    warmed = _side_keys()
-    assert warmed
-    # the second sign reads every side from the first's entries
-    assert dumps_17g(verify(build(second)).to_json()) == want
-    assert _side_keys() == warmed
-    assert dumps_17g(verify(build(first)).to_json()) == cold(first)
-    ineq._condition_cache.clear()
+    with fresh_stores():
+        verify(build(first))
+        warmed = _side_keys()
+        assert warmed
+        # the second sign reads every side from the first's entries
+        assert dumps_17g(verify(build(second)).to_json()) == want
+        assert _side_keys() == warmed
+        assert dumps_17g(verify(build(first)).to_json()) == cold(first)
 
 
 def test_finite_verdicts_add_no_side_integral_to_the_cache():
     inst = make("chebyshev", min_op(1.0), counting_measure(3, normalized=True),
                 [FiniteFunction((0.2, 0.5, 0.8)), FiniteFunction((0.1, 0.4, 0.9))], star=min_op(1.0))
-    ineq._condition_cache.clear()
-    verify(inst, skip_hypotheses=True)
-    assert len(ineq._condition_cache) == 0
-    verify(inst)
-    assert ineq._condition_cache and not _side_keys()
-    ineq._condition_cache.clear()
+    with fresh_stores() as stores:
+        verify(inst, skip_hypotheses=True)
+        assert not stores
+        verify(inst)
+        assert stores and not _side_keys()
 
 
 def test_a_side_that_cannot_hash_is_integrated_uncached():
@@ -420,11 +418,10 @@ def test_a_side_that_cannot_hash_is_integrated_uncached():
         return make("chebyshev", min_op(1.0), LEB, [pwl, PowerFunction(2.0)], star=min_op(1.0))
 
     listed = PwlFunction([0.0, 0.5, 1.0], [0.0, 0.25, 1.0])
-    ineq._condition_cache.clear()
-    got = dumps_17g(verify(build(listed)).to_json())
-    assert len(_side_keys()) == 1
-    assert got == dumps_17g(verify(build(PwlFunction((0.0, 0.5, 1.0), (0.0, 0.25, 1.0)))).to_json())
-    ineq._condition_cache.clear()
+    with fresh_stores():
+        got = dumps_17g(verify(build(listed)).to_json())
+        assert len(_side_keys()) == 1
+        assert got == dumps_17g(verify(build(PwlFunction((0.0, 0.5, 1.0), (0.0, 0.25, 1.0)))).to_json())
 
 
 # ---------------------------------------------------------------------------
