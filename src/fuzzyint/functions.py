@@ -567,21 +567,22 @@ def make_comonotone_system(seed, n: int, k: int, scale: str = "unit"):
 
 def _pwl_merge(star: BinaryOp, f: PwlFunction, g: PwlFunction) -> PwlFunction:
     """Exact pointwise min/max/sum of two piecewise-linear functions."""
+    fx, gx = _sampler(f), _sampler(g)
     xs = sorted(set(f.xs) | set(g.xs))
     # min/max need the interior crossing points as extra nodes
     if star.kind in (KIND_MIN, KIND_MAX):
         extra = []
         for i in range(1, len(xs)):
             x0, x1 = xs[i - 1], xs[i]
-            d0 = eval_at(f, x0) - eval_at(g, x0)
-            d1 = eval_at(f, x1) - eval_at(g, x1)
+            d0 = fx(x0) - gx(x0)
+            d1 = fx(x1) - gx(x1)
             if d0 * d1 < 0.0:
                 # linear difference on the cell: one crossing
                 xc = x0 + (x1 - x0) * d0 / (d0 - d1)
                 if x0 < xc < x1:
                     extra.append(xc)
         xs = sorted(set(xs) | set(extra))
-    ys = [eval_op(star, eval_at(f, x), eval_at(g, x)) for x in xs]
+    ys = [eval_op(star, fx(x), gx(x)) for x in xs]
     return PwlFunction(tuple(xs), tuple(ys))
 
 

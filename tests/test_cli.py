@@ -19,6 +19,7 @@ from fuzzyint import (
     smallest_op,
 )
 from fuzzyint.cli import main
+from fuzzyint.ops import MAX_GRID_NODES
 
 
 def write(tmp_path, name, doc):
@@ -204,6 +205,11 @@ STAR_INSTANCE = dict(
             exponents={"r": [2.0]})),
         (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": "0.5"})),
         (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": True})),
+        # a name the family does not read, misspelt or an old alias, is not read as 1
+        (("verify", "--theorem", "seminormed_general"),
+         dict(STAR_INSTANCE, theorem="seminormed_general", exponents={"lamda": 3.0})),
+        (("verify", "--theorem", "seminormed_general"),
+         dict(STAR_INSTANCE, theorem="seminormed_general", exponents={"lam": 3.0})),
         # phi(1e300) = 1e300 ** 2 is beyond the float range
         (("verify", "--theorem", "jensen"), dict(
             STAR_INSTANCE, theorem="jensen", functions=[{"type": "finite", "values": [1e300, 0.5]}],
@@ -216,6 +222,7 @@ STAR_INSTANCE = dict(
          "integrate-e-bool", "integrate-tol-zero", "integrate-tol-negative",
          "verify-tol-negative", "verify-tol-inf", "verify-tol-nan", "verify-exponent-list",
          "verify-moment-order-list", "verify-exponent-string", "verify-exponent-bool",
+         "verify-unread-exponent", "verify-lam-alias",
          "verify-power-overflow", "lattice-empty-parts"],
 )
 def test_bad_instance_document_exits_two(tmp_path, capsys, argv, doc):
@@ -448,9 +455,11 @@ def test_check_op_grid_keeps_the_neutral_node(tmp_path, capsys):
     "argv, error",
     [
         (("--grid", "0"), "grid needs at least 2 nodes"),
+        # refused before any n-by-n array is built
+        (("--grid", str(MAX_GRID_NODES + 1)), f"grid takes at most {MAX_GRID_NODES} nodes"),
         (("--properties", "neutral=abc"), "unknown property 'neutral=abc'"),
     ],
-    ids=["grid-0", "neutral-value"],
+    ids=["grid-0", "grid-above-bound", "neutral-value"],
 )
 def test_check_op_bad_arguments_exit_2(tmp_path, capsys, argv, error):
     path = write(tmp_path, "op.json", op_to_json(probsum_op()))

@@ -410,7 +410,8 @@ def test_grid_powers_are_scalar_powers_bit_for_bit():
     x = np.asarray(nodes)
     for e in LATTICE + tuple(1.0 / e for e in LATTICE):
         want = np.array([_pow(v, e) for v in nodes])
-        (side,), _ = ineq._nary_sides("thm32", 0, (), (), (e,), (e,))
+        ex = {"xi": (e, e), "omega": (e, e)}
+        _, (side, _), *_ = ineq._form("thm32", 1, None, h_min(1), (), (), (), ex)
         for m in side:  # the inner power transform and the outer power
             assert ineq._tmap(GridEval(), m, x).tobytes() == want.tobytes()
         t = power(e)
@@ -526,20 +527,25 @@ exps_st = st.tuples(exponent_st, exponent_st, exponent_st)
 
 
 def nary_condition(tid, op, H, u, psi, xi, om, reverse, dnodes, cnodes):
-    """The n-ary condition on the sides of family tid at the arity of H."""
-    sides, pre = ineq._nary_sides(tid, H.arity, u, psi, xi, om)
+    """The n-ary condition on the form of family tid at the arity of H."""
+    ex = {"xi": xi, "omega": om} if tid in ineq.EXPONENT_NAMES else {}
+    _, sides, pre, _, _ = ineq._form(tid, H.arity, None, H, u, psi, (), ex)
     return ineq._nary_condition(op, H, sides, pre, reverse, dnodes, cnodes)
 
 
 def binary_condition(op, star, xi, om, reverse, dnodes, cnodes):
     """A two-function condition: the n-ary one at arity 2 with H = star."""
-    H = ineq.NaryOp("binary", op=star)
-    return nary_condition("star_general", op, H, (), (), xi, om, reverse, dnodes, cnodes)
+    ex = dict(zip(ineq.EXPONENT_NAMES["star_general"], xi + om))
+    H, sides, pre, _, _ = ineq._form("star_general", 2, star, None, (), (), (), ex)
+    return ineq._nary_condition(op, H, sides, pre, reverse, dnodes, cnodes)
 
 
 def single_condition(tid, op, phi, exps, dnodes, cnodes):
-    """A single-function condition: the n-ary one on the family's form at arity 1."""
-    ex = {"r": exps[0], "s": exps[1]}
+    """A single-function condition: the n-ary one on the family's form at arity 1.
+
+    Only lyapunov reads exps, as its orders r and s.
+    """
+    ex = dict(zip(ineq.EXPONENT_NAMES.get(tid, ()), exps))
     H, sides, pre, _, _ = ineq._form(tid, 1, None, None, (), (), phi, ex)
     return ineq._nary_condition(op, H, sides, pre, tid in ineq.REVERSE_IDS, dnodes, cnodes)
 

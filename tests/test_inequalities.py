@@ -307,7 +307,11 @@ def test_condition_respects_data_box():
         ("thm32", {"H": h_min(2), "exponents": {"xi": (1.0, 1.0)}}, "one xi and omega"),
         ("thm42_h", {"H": h_min(2), "exponents": {"omega": 2.0}}, "must be sequences"),
         ("thm32", {"H": h_min(2), "exponents": {"xi": (1.0, -1.0, 1.0)}}, "positive"),
-        ("lyapunov", {"exponents": {"r": 0.0, "s": 1.0}}, "moment orders"),
+        ("lyapunov", {"exponents": {"r": 0.0, "s": 1.0}}, "must be positive"),
+        # a name the family does not read would otherwise read as 1
+        ("seminormed_general", {"star": min_op(1.0), "exponents": {"lam": 2.0}}, "no exponent lam$"),
+        ("chebyshev", {"star": min_op(1.0), "exponents": {"p": 1.0, "xi1": 1.0}}, "no exponent p, xi1$"),
+        ("thm32", {"H": h_min(2), "exponents": {"xi1": 0.5}}, "thm32 reads no exponent xi1$"),
     ],
 )
 def test_condition_exponents_are_validated_as_verify_does(tid, kw, needle):
