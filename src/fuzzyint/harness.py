@@ -46,12 +46,8 @@ from .measures import MAX_GROUND_SET, DistortedLebesgue, FiniteMonotoneMeasure
 from .measures import _check_size, counting_measure
 from .integrals import sugeno
 from .inequalities import (
-    EXPONENT_NAMES,
-    NARY_IDS,
-    REVERSE_IDS,
-    SINGLE_FUNCTION_IDS,
+    STATEMENTS,
     THEOREM_IDS,
-    TWO_FUNCTION_IDS,
     InequalityVerdict,
     NaryOp,
     TheoremInstance,
@@ -79,7 +75,6 @@ from .serialize import (
 )
 
 PRNG_ALGORITHM = "philox4x64"
-_PHI_IDS = ("jensen", "rev_jensen", "thm33", "rev_transform")
 _MAX_RANGE = 1e6
 
 @dataclass(frozen=True)
@@ -125,6 +120,9 @@ class CampaignConfig:
         for name, (lo, hi) in ranges:
             if not 0.0 < lo <= hi <= _MAX_RANGE:
                 raise InputError(f"{name} must be [lo, hi] with 0 < lo <= hi <= {_MAX_RANGE:g}")
+        undrawn = sorted(dict(self.exponent_ranges).keys() - _drawn_ranges(self.theorem_id))
+        if undrawn:
+            raise InputError(f"{self.theorem_id} draws no exponent range {', '.join(undrawn)}")
         if self.scale not in ("unit", "extended"):
             raise InputError("scale must be 'unit' or 'extended'")
 
@@ -278,14 +276,25 @@ def _pick(rng: np.random.Generator, pool: Sequence):
     return pool[int(rng.integers(0, len(pool)))]
 
 
+def _drawn_ranges(tid: str) -> tuple[str, ...]:
+    """The exponent_ranges names a campaign of statement tid draws."""
+    stmt = STATEMENTS[tid]
+    if stmt.sides == "jensen":
+        return ("phi_p",)
+    if stmt.sides == "power" and stmt.arity is None:
+        return ("xi_inner", "omega_inner")
+    return stmt.exponents
+
+
 def _draw_exponents(config: CampaignConfig, rng: np.random.Generator, tid: str, k: int):
-    """The exponents of a trial of family tid with k functions, by the names
-    the family reads; a name without a configured range reads as 1."""
-    names = EXPONENT_NAMES.get(tid, ())
-    if tid in ("thm32", "thm42_h"):
+    """The exponents of a trial of statement tid with k functions, by the
+    names the statement reads; a name without a configured range reads as 1."""
+    stmt = STATEMENTS[tid]
+    names = stmt.exponents
+    if stmt.arity is None and names:
         # an outer 1, then one draw per function, for xi and then omega
         vectors = []
-        for bounds in map(config.exponent_range, ("xi_inner", "omega_inner")):
+        for bounds in map(config.exponent_range, _drawn_ranges(tid)):
             vectors.append(
                 [1.0] + [1.0 if bounds is None else _lattice_draw(rng, *bounds) for _ in range(k)]
             )
@@ -351,16 +360,16 @@ def _verified_pool(pool: tuple[BinaryOp, ...]) -> tuple[BinaryOp, ...]:
 
 
 def _pools(config: CampaignConfig) -> tuple[tuple, tuple]:
-    """A trial's op pool and the one star, H or phi pool its family reads;
+    """A trial's op pool and the one star, H or phi pool its statement reads;
     respecting hypotheses keeps the verified ops and stars."""
-    tid = config.theorem_id
+    fields = STATEMENTS[config.theorem_id].fields
     ops = config.op_pool or (min_op(),)
     pool = ()
-    if tid in NARY_IDS:
+    if "H" in fields:
         pool = config.H_pool
-    elif tid in TWO_FUNCTION_IDS:
+    elif "star" in fields:
         pool = _verified_pool(config.star_pool) if config.respect_hypotheses else config.star_pool
-    elif tid in _PHI_IDS:
+    elif "phi" in fields:
         pool = config.phi_pool
     if config.respect_hypotheses:
         ops = _verified_pool(ops) or ops
@@ -375,32 +384,31 @@ def gen_instance(config: CampaignConfig, trial_index: int) -> TheoremInstance:
 
 
 def _draw(config: CampaignConfig, rng: np.random.Generator, ops: tuple, pool: tuple) -> TheoremInstance:
-    # pool is the family's star, H or phi pool; an empty one gives the default
+    # pool is the statement's star, H or phi pool; an empty one gives the default
     tid = config.theorem_id
+    stmt = STATEMENTS[tid]
     op = _pick(rng, ops)
 
     H = star = None
-    if tid in NARY_IDS:
+    if stmt.arity is None:
         H = _pick(rng, pool) if pool else h_min(2)
-    k = 1 if tid in SINGLE_FUNCTION_IDS else H.arity if H is not None else 2
+    k = stmt.arity or H.arity
     n, funcs = _draw_functions(config, rng, k)
 
-    normalized = config.normalize_measure or tid in REVERSE_IDS or op.cap == 1.0
+    normalized = config.normalize_measure or stmt.reverse or op.cap == 1.0
     measure = _draw_measure(config, rng, n, normalized)
 
-    if tid in TWO_FUNCTION_IDS:
+    if stmt.arity == 2:
         star = _pick(rng, pool) if pool else min_op(cap=op.cap)
 
-    u: tuple = ()
-    psi: tuple = ()
-    phi: tuple = ()
-    if tid in ("thm31", "thm41"):
+    u = psi = phi = ()
+    if "u" in stmt.fields:
         u = tuple(identity() for _ in range(k + 1))
         psi = tuple(identity() for _ in range(k))
-    elif tid in _PHI_IDS and pool:
+    elif "phi" in stmt.fields and pool:
         phi = _pick(rng, pool)
-    elif tid in ("jensen", "rev_jensen"):
-        bounds = config.exponent_range("phi_p") or (1.0, 3.0)
+    elif stmt.sides == "jensen":
+        bounds = config.exponent_range(*_drawn_ranges(tid)) or (1.0, 3.0)
         phi = (power(_lattice_draw(rng, bounds[0], bounds[1])),)
     elif tid == "thm33":
         phi = (power(2.0), identity())
@@ -657,7 +665,7 @@ def reproduce_paper() -> FixtureReport:
         leb,
         [PowerFunction(1.0), ConstFunction(1.0)],
         star=min_op(),
-        exponents=dict(zip(EXPONENT_NAMES["star_general"], (1.0, 0.5, 0.5, 1.0, 1.0, 1.0))),
+        exponents=dict(zip(STATEMENTS["star_general"].exponents, (1.0, 0.5, 0.5, 1.0, 1.0, 1.0))),
     )
     verdict = verify(inst)
     exp_check = next(

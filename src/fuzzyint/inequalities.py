@@ -8,8 +8,9 @@ value.  A family of n functions and aggregation H has one side for
 which is ``H(pre_i(outer_i(∫ inner_i f_i)))``.  The two-function families
 are at arity 2 with H = ⋆ (kind ``binary``), and the single-function
 families (thm33, jensen, rev_jensen, lyapunov, rev_transform) at arity 1
-with H the identity.  :func:`_form` derives H, sides and pre, by one of
-three rules, and one verdict body evaluates them:
+with H the identity.  Each statement is one row of :data:`STATEMENTS`.
+:func:`_form` derives H, sides and pre, by one of three side rules, and
+one verdict body evaluates them:
 
 - transform sides ``(t, pinv t)``: thm31 and thm41 take them from the
   transforms u and their pre maps from psi, and thm33 and rev_transform
@@ -17,8 +18,8 @@ three rules, and one verdict body evaluates them:
 - power sides ``(x ↦ x**xi, v ↦ v**omega)``, with identity pre maps:
   thm32, thm42_h and the two-function families, and lyapunov, the power
   family at arity 1 with xi = (s, r) and omega = (1/s, 1/r).  A family's
-  exponents are read by the names in :data:`EXPONENT_NAMES`, and any
-  other name is refused;
+  exponents are read by the names in its row, and any other name, or a
+  star, H, u, psi or phi that the statement does not read, is refused;
 - Jensen's pair ``(phi, id), (id, phi)`` of jensen and rev_jensen.
 
 The aggregations min, max and prod, and H = ⋆, are one computation: a
@@ -68,7 +69,7 @@ import itertools
 import math
 from collections import OrderedDict
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce, wraps
 from typing import Iterable, Mapping, Sequence
 
@@ -120,33 +121,59 @@ from .integrals import (
 # catalog
 # ---------------------------------------------------------------------------
 
-NARY_IDS = ("thm31", "thm32", "thm41", "thm42_h")
-TWO_FUNCTION_IDS = (
-    "chebyshev",
-    "holder",
-    "minkowski",
-    "star_general",
-    "seminormed_general",
-    "rev_chebyshev",
-    "rev_holder",
-    "rev_minkowski",
-    "rev_seminormed",
-)
-SINGLE_FUNCTION_IDS = ("thm33", "jensen", "rev_jensen", "lyapunov", "rev_transform")
-THEOREM_IDS = NARY_IDS + TWO_FUNCTION_IDS + SINGLE_FUNCTION_IDS
 
-REVERSE_IDS = frozenset(
-    {
-        "thm41",
-        "thm42_h",
-        "rev_chebyshev",
-        "rev_holder",
-        "rev_minkowski",
-        "rev_seminormed",
-        "rev_jensen",
-        "rev_transform",
-    }
-)
+@dataclass(frozen=True)
+class Statement:
+    """One statement's facts: its function count arity (1, 2 under a
+    pointwise ⋆, or None for n under an aggregation H), its side rule
+    ("power", "transform" or "jensen"), whether it is reversed (``<=``,
+    semiconormed), the exponent names its power sides read, and the data
+    range of its exponent hypothesis: "data" (the functions' largest
+    value), "unit" or "" for none.  fields, derived from these, are the
+    instance fields among star, H, u, psi and phi that it reads."""
+
+    arity: int | None
+    sides: str
+    reverse: bool = False
+    exponents: tuple[str, ...] = ()
+    exponent_range: str = ""
+    fields: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.arity == 2:
+            fields = ("star",)
+        elif self.arity is None:
+            fields = ("H", "u", "psi") if self.sides == "transform" else ("H",)
+        else:
+            fields = () if self.sides == "power" else ("phi",)
+        object.__setattr__(self, "fields", frozenset(fields))
+
+
+_STAR_GENERAL = ("xi0", "xi1", "xi2", "omega0", "omega1", "omega2")
+_SEMINORMED = ("alpha", "beta", "gamma", "lambda", "upsilon", "tau")
+
+# every statement, by id; THEOREM_IDS is its keys, in this order
+STATEMENTS = {
+    "thm31": Statement(None, "transform"),
+    "thm32": Statement(None, "power", False, ("xi", "omega"), "data"),
+    "thm41": Statement(None, "transform", True),
+    "thm42_h": Statement(None, "power", True, ("xi", "omega"), "data"),
+    "chebyshev": Statement(2, "power"),
+    "holder": Statement(2, "power", False, ("p", "q")),
+    "minkowski": Statement(2, "power", False, ("s",)),
+    "star_general": Statement(2, "power", False, _STAR_GENERAL, "data"),
+    "seminormed_general": Statement(2, "power", False, _SEMINORMED, "unit"),
+    "rev_chebyshev": Statement(2, "power", True),
+    "rev_holder": Statement(2, "power", True, ("p", "q")),
+    "rev_minkowski": Statement(2, "power", True, ("k",)),
+    "rev_seminormed": Statement(2, "power", True, _SEMINORMED, "unit"),
+    "thm33": Statement(1, "transform"),
+    "jensen": Statement(1, "jensen"),
+    "rev_jensen": Statement(1, "jensen", True),
+    "lyapunov": Statement(1, "power", False, ("r", "s")),
+    "rev_transform": Statement(1, "transform", True),
+}
+THEOREM_IDS = tuple(STATEMENTS)
 
 _SCALAR_SLACK = 1e-12
 
@@ -453,23 +480,6 @@ class InequalityVerdict:
 # family forms: sides outer(∫ inner(f))
 # ---------------------------------------------------------------------------
 
-# the exponents each power family reads, by name; a missing one reads as 1
-EXPONENT_NAMES = {
-    **dict.fromkeys(("holder", "rev_holder"), ("p", "q")),
-    "minkowski": ("s",),
-    "rev_minkowski": ("k",),
-    "star_general": ("xi0", "xi1", "xi2", "omega0", "omega1", "omega2"),
-    **dict.fromkeys(
-        ("seminormed_general", "rev_seminormed"),
-        ("alpha", "beta", "gamma", "lambda", "upsilon", "tau"),
-    ),
-    **dict.fromkeys(("thm32", "thm42_h"), ("xi", "omega")),
-    "lyapunov": ("r", "s"),
-}
-# the names each family reads, as sets: every form refuses any other name
-_READS = {tid: frozenset(EXPONENT_NAMES.get(tid, ())) for tid in THEOREM_IDS}
-
-
 def _pinv(t: MonotoneTransform, y: float) -> float:
     """Pseudo-inverse: values below t(0) pull back to 0."""
     if y <= t.at_zero():
@@ -489,28 +499,33 @@ def _outer_pow(e: float):
 
 
 def _form(tid: str, n: int, star, H, u, psi, phi, ex: Mapping):
-    """(H, sides, pre, xi, omega) of a family of n functions.
+    """(H, sides, pre, xi, omega) of a statement of n functions.
 
     lhs = outer_0(∫ inner_0(H(pre(f)))) and rhs = H(pre_i(outer_i(∫ inner_i f_i))),
     where sides holds the (inner, outer) of each integral, lhs first, by
-    the rules of the module docstring.  A missing phi of jensen reads as
-    the identity, and rev_jensen reverses jensen's pair.  Power sides read
-    ex under the family's EXPONENT_NAMES, a missing name as 1: chebyshev
-    and its reverse have all exponents 1, holder's p, q give xi = (1, p,
-    q) and omega its reciprocals, and the root-mean exponent s (k in
-    reverse) gives xi = s and omega = 1/s throughout.  A name the family
+    the statement's side rule in STATEMENTS.  A missing phi of jensen
+    reads as the identity, and rev_jensen reverses jensen's pair.  Power
+    sides read ex under the statement's exponent names, a missing name
+    as 1: chebyshev and its reverse have all exponents 1, holder's p, q
+    give xi = (1, p, q) and omega its reciprocals, and the root-mean
+    exponent s (k in reverse) gives xi = s and omega = 1/s throughout.
+    An exponent name, or a star, H, u, psi or phi, that the statement
     does not read is an InputError.  xi and omega are empty where the
     sides are not powers.  The form reads no measure and no function value.
     """
-    if not ex.keys() <= _READS[tid]:
-        unread = ", ".join(sorted(set(ex) - _READS[tid]))
-        raise InputError(f"{tid} reads no exponent {unread}")
+    stmt = STATEMENTS[tid]
+    unread = ex.keys() - stmt.exponents
+    if unread:
+        raise InputError(f"{tid} reads no exponent {', '.join(sorted(unread))}")
+    for name, given in (("star", star), ("H", H), ("u", u), ("psi", psi), ("phi", phi)):
+        if given and name not in stmt.fields:
+            raise InputError(f"{tid} reads no {name}")
     pre = (IDENTITY,) * n
-    if tid in SINGLE_FUNCTION_IDS:
+    if stmt.arity == 1:
         if n != 1:
             raise InputError("single-function families need exactly one function")
         H = _H_IDENTITY
-    elif tid in TWO_FUNCTION_IDS:
+    elif stmt.arity == 2:
         if n != 2:
             raise InputError("two-function families need exactly two functions")
         if star is None:
@@ -521,12 +536,12 @@ def _form(tid: str, n: int, star, H, u, psi, phi, ex: Mapping):
             raise InputError("n-ary families need an aggregation")
         if H.arity != n:
             raise InputError("aggregation arity must match the function count")
-    if tid in ("jensen", "rev_jensen"):
+    if stmt.sides == "jensen":
         t = phi[0] if phi else IDENTITY
         sides = ((t, IDENTITY), (IDENTITY, t))
-        return H, sides if tid == "jensen" else sides[::-1], pre, (), ()
-    if tid in ("thm31", "thm41", "thm33", "rev_transform"):
-        if tid in ("thm31", "thm41"):
+        return H, sides[::-1] if stmt.reverse else sides, pre, (), ()
+    if stmt.sides == "transform":
+        if stmt.arity is None:
             if len(u) != n + 1 or len(psi) != n:
                 raise InputError("need n+1 outer transforms and n reindexings")
             transforms, pre = u, tuple(psi)
@@ -536,8 +551,8 @@ def _form(tid: str, n: int, star, H, u, psi, phi, ex: Mapping):
             transforms = phi
         return H, tuple((t, partial(_pinv, t)) for t in transforms), pre, (), ()
 
-    names = EXPONENT_NAMES.get(tid, ())
-    if tid in ("thm32", "thm42_h"):
+    names = stmt.exponents
+    if stmt.arity is None:
         xi, om = [ex.get(k, (1.0,) * (n + 1)) for k in names]
         if not (isinstance(xi, tuple) and isinstance(om, tuple)):
             raise InputError("n-ary exponents must be sequences " + ", ".join(names))
@@ -652,16 +667,17 @@ def check_scalar_condition(
         hi_data = 1.0 if cap == 1.0 else 2.0
     if hi_measure is None:
         hi_measure = 1.0 if op.cap == 1.0 else 2.0
-    if condition_id not in THEOREM_IDS:
+    stmt = STATEMENTS.get(condition_id)
+    if stmt is None:
         raise InputError(f"unknown condition id {condition_id!r}")
-    if condition_id in SINGLE_FUNCTION_IDS:
+    if stmt.arity == 1:
         arity, n = 1, 21
     else:
-        arity = 2 if condition_id in TWO_FUNCTION_IDS or H is None else H.arity
+        arity = H.arity if stmt.arity is None and H is not None else 2
         n = min(13, max(5, int(round(30000 ** (1.0 / (arity + 1))))))
     H, sides, pre, _, _ = _form(condition_id, arity, star, H, u, psi, phi, ex)
     dnodes, cnodes = _range_nodes(hi_data, n), _range_nodes(hi_measure, n)
-    check = _nary_condition(op, H, sides, pre, condition_id in REVERSE_IDS, dnodes, cnodes)
+    check = _nary_condition(op, H, sides, pre, stmt.reverse, dnodes, cnodes)
     meta = {"nodes": len(dnodes), "hi_data": hi_data, "hi_measure": hi_measure, "slack": _SCALAR_SLACK}
     return PropertyReport((check,), meta)
 
@@ -819,19 +835,13 @@ def _data_max(funcs: Sequence) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_tol(inst: TheoremInstance, results: Sequence[IntegralResult]) -> float:
+def _lattice_tol(inst: TheoremInstance, form, results: Sequence[IntegralResult]) -> float:
     """0 for pure-lattice finite instances, else 1e-9 plus refine slack."""
+    H, _, _, xi, om = form
     lattice = isinstance(inst.measure, FiniteMonotoneMeasure)
     lattice &= inst.op.kind in (KIND_MIN, KIND_MAX)
-    if inst.star is not None:
-        lattice &= inst.star.kind in (KIND_MIN, KIND_MAX)
-    if inst.H is not None:
-        lattice &= inst.H.kind in ("min", "max")
-    for _, v in inst.exponents:
-        if isinstance(v, tuple):
-            lattice &= all(x == 1.0 for x in v)
-        else:
-            lattice &= v == 1.0
+    lattice &= H.op is not None and H.op.kind in (KIND_MIN, KIND_MAX)
+    lattice &= all(x == 1.0 for x in xi + om)
     for t in inst.u + inst.psi + inst.phi:
         lattice &= is_identity(t)
     if lattice:
@@ -839,42 +849,33 @@ def _lattice_tol(inst: TheoremInstance, results: Sequence[IntegralResult]) -> fl
     return 1e-9 + sum(r.tol for r in results)
 
 
-def _mk_verdict(inst, lhs, rhs, checks, results, tol) -> InequalityVerdict:
-    direction = "<=" if inst.theorem_id in REVERSE_IDS else ">="
+def _mk_verdict(inst, form, rev: bool, lhs, rhs, checks, results, tol) -> InequalityVerdict:
     if tol is None:
-        tol = _lattice_tol(inst, results)
+        tol = _lattice_tol(inst, form, results)
     # inf on both sides compares as equal rather than as nan
     margin = 0.0 if lhs == rhs else lhs - rhs
-    if direction == ">=":
-        holds = margin >= -tol
-    else:
-        holds = margin <= tol
     report = PropertyReport(tuple(checks), {"tol": tol})
-    met = report.passed
-    notes = () if met else ("hypotheses_unmet",)
     return InequalityVerdict(
         theorem_id=inst.theorem_id,
         lhs=lhs,
         rhs=rhs,
-        direction=direction,
+        direction="<=" if rev else ">=",
         margin=margin,
-        holds=holds,
+        holds=margin <= tol if rev else margin >= -tol,
         tol=tol,
-        hypotheses_met=met,
+        hypotheses_met=report.passed,
         hypothesis_report=report,
-        notes=notes,
+        notes=() if report.passed else ("hypotheses_unmet",),
     )
 
 
 def _measure_checks(inst: TheoremInstance) -> list[CheckResult]:
     """Normalised under a cap-1 op and for the reverse two- and one-function
-    families; none for thm41 and thm42_h above cap 1; else the contraction."""
-    tid, op, total = inst.theorem_id, inst.op, inst.measure.total
-    if op.cap == 1.0 or (tid in REVERSE_IDS and tid not in NARY_IDS):
+    statements; none for the reverse n-ary ones above cap 1; else the contraction."""
+    stmt, op, total = STATEMENTS[inst.theorem_id], inst.op, inst.measure.total
+    if op.cap == 1.0 or (stmt.reverse and stmt.arity is not None):
         return [_normalized_check(total)]
-    if tid in ("thm41", "thm42_h"):
-        return []
-    return [_contraction_check(op, total)]
+    return [] if stmt.reverse else [_contraction_check(op, total)]
 
 
 def _snap_up(x: float) -> float:
@@ -887,17 +888,6 @@ def _snap_up(x: float) -> float:
     return max(0.25, math.ceil(x * 4.0 - 1e-9) / 4.0)
 
 
-# exponent range hypothesis: theorem id -> (data range, x**(1/(xi*om)) >= x);
-# a data range of None is the largest value of the functions
-_EXPONENT_RANGE = {
-    "star_general": (None, True),
-    "seminormed_general": (1.0, True),
-    "rev_seminormed": (1.0, False),
-    "thm32": (None, True),
-    "thm42_h": (None, False),
-}
-
-
 def _instance_form(inst: TheoremInstance):
     """The _form of inst's family, at the arity of its function count."""
     n = len(inst.functions)
@@ -908,9 +898,10 @@ def _instance_form(inst: TheoremInstance):
 def _verdict(inst: TheoremInstance, form, tol, skip_hypotheses: bool) -> InequalityVerdict:
     """The verdict of inst, whose family form (see _form) is form."""
     tid = inst.theorem_id
+    stmt = STATEMENTS[tid]
     H, sides, pre, xi, om = form
     combined = _combine_nary(H, tuple(map(apply_transform, pre, inst.functions)))
-    rev = tid in REVERSE_IDS
+    rev = stmt.reverse
     r_lhs = _integral(rev, inst.op, inst.measure, apply_transform(sides[0][0], combined))
     lhs = _tapply(sides[0][1], r_lhs.value)
     side = _interval_side if isinstance(inst.measure, DistortedLebesgue) else _integral
@@ -927,21 +918,21 @@ def _verdict(inst: TheoremInstance, form, tol, skip_hypotheses: bool) -> Inequal
         data_max = _data_max(inst.functions)
         hi_data = _snap_up(data_max)
         checks.append(_summary_check("op_properties", _op_report(inst.op)))
-        if tid in TWO_FUNCTION_IDS:
+        if stmt.arity == 2:
             checks.append(_summary_check("star_properties", _op_report(H.op)))
-        elif tid in NARY_IDS:
+        elif stmt.arity is None:
             checks.append(_check_H_nondecreasing(H, _range_nodes(hi_data, 9)))
-        if tid not in SINGLE_FUNCTION_IDS:
+        if stmt.arity != 1:
             checks.append(_comonotone_check(inst.functions))
         checks.extend(_measure_checks(inst))
-        if tid in _EXPONENT_RANGE:
-            span, want_ge = _EXPONENT_RANGE[tid]
+        if stmt.exponent_range:
+            span = data_max if stmt.exponent_range == "data" else 1.0
             prods = tuple(x * w for x, w in zip(xi[1:], om[1:]))
-            checks.append(_exponent_range_check(prods, data_max if span is None else span, want_ge))
+            checks.append(_exponent_range_check(prods, span, not rev))
         cond = (tid, inst.op, inst.star, inst.H, inst.u, inst.psi, inst.phi, inst.exponents)
         checks.append(_scalar_condition(*cond, hi_data, _snap_up(inst.measure.total)))
         checks.append(_finiteness_check(results))
-    return _mk_verdict(inst, lhs, rhs, checks, tuple(results), tol)
+    return _mk_verdict(inst, form, rev, lhs, rhs, checks, tuple(results), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,8 @@ def _optimize(
         # kept: the spans start and end at the marks
         ys = list(map(kern, marks, map(level, marks)))
 
-    best = None
-    for y in ys:
-        if best is None or sgn * y > sgn * best:
-            best = y
-    if best is None:
-        best = 0.0
+    # 0.0 is always a mark; min and max keep the first of equal extremes
+    best = (min if minimize else max)(ys)
     evals = len(marks)
 
     if profile.exact:
@@ -141,8 +137,6 @@ def _optimize(
     ends = [(v, y) for v, y in zip(marks, ys) if math.isfinite(v)]
     for i in range(1, len(ends)):
         (lo, y_lo), (hi, y_hi) = ends[i - 1], ends[i]
-        if not hi > lo:
-            continue
         step = (hi - lo) / 34.0
         seg_best_t, seg_best_y = lo, y_lo
         for k in range(1, 34):

@@ -442,9 +442,14 @@ def instance_to_json(inst: TheoremInstance) -> dict:
     return d
 
 
+_INSTANCE_FIELDS = frozenset(
+    ("theorem", "op", "measure", "functions", "star", "H", "u", "psi", "phi", "exponents")
+)
+
+
 @reading("instance document")
 def instance_from_json(d: dict) -> TheoremInstance:
-    return TheoremInstance.make(
+    inst = TheoremInstance.make(
         d["theorem"],
         op_from_json(d["op"]),
         measure_from_json(d["measure"]),
@@ -459,6 +464,10 @@ def instance_from_json(d: dict) -> TheoremInstance:
             for k, v in d.get("exponents", {}).items()
         },
     )
+    unknown = sorted(set(d) - _INSTANCE_FIELDS)
+    if unknown:
+        raise InputError(f"instance document has unknown fields {', '.join(map(repr, unknown))}")
+    return inst
 
 
 def instance_digest(inst: TheoremInstance) -> str:

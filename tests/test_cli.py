@@ -210,6 +210,12 @@ STAR_INSTANCE = dict(
          dict(STAR_INSTANCE, theorem="seminormed_general", exponents={"lamda": 3.0})),
         (("verify", "--theorem", "seminormed_general"),
          dict(STAR_INSTANCE, theorem="seminormed_general", exponents={"lam": 3.0})),
+        # a misspelt top-level key is refused, not skipped so that λ reads as 1
+        (("verify", "--theorem", "seminormed_general"),
+         dict(STAR_INSTANCE, theorem="seminormed_general", exponent={"lambda": 3.0})),
+        # a field the statement does not read is refused, not left to change the tol
+        (("verify", "--theorem", "jensen"),
+         dict(STAR_INSTANCE, theorem="jensen", functions=STAR_INSTANCE["functions"][:1])),
         # phi(1e300) = 1e300 ** 2 is beyond the float range
         (("verify", "--theorem", "jensen"), dict(
             STAR_INSTANCE, theorem="jensen", functions=[{"type": "finite", "values": [1e300, 0.5]}],
@@ -222,7 +228,8 @@ STAR_INSTANCE = dict(
          "integrate-e-bool", "integrate-tol-zero", "integrate-tol-negative",
          "verify-tol-negative", "verify-tol-inf", "verify-tol-nan", "verify-exponent-list",
          "verify-moment-order-list", "verify-exponent-string", "verify-exponent-bool",
-         "verify-unread-exponent", "verify-lam-alias",
+         "verify-unread-exponent", "verify-lam-alias", "verify-unknown-key",
+         "verify-unread-star",
          "verify-power-overflow", "lattice-empty-parts"],
 )
 def test_bad_instance_document_exits_two(tmp_path, capsys, argv, doc):
@@ -325,10 +332,12 @@ PROBE_REFUSED = {
         {"op_pool": [{"kind": "max", "cap": 1}]},
         dict(_INTERVAL_CHEB, star_pool=[{"kind": "prod", "cap": 0}]),
         {"respect_hypothesis": False},
+        {"theorem": "thm32", "exponent_ranges": {"xi_iner": [0.5, 2.0]}},
     ] + [patch for patch, _ in PROBE_REFUSED.values()],
     ids=["trials-string", "n-range-reversed", "n-range-too-large", "negative-seed",
          "null-seed", "extended-cap-one", "unit-cap-half", "reverse-family-forward-op",
          "forward-family-reverse-op", "interval-star-cap-zero", "config-unknown-field",
+         "config-undrawn-range",
          *PROBE_REFUSED],
 )
 def test_falsify_bad_config_exits_two_before_any_output(tmp_path, capsys, patch):

@@ -35,7 +35,7 @@ from fuzzyint import (
     smallest_op,
 )
 from fuzzyint.cli import _INTEGRALS, main
-from fuzzyint.inequalities import REVERSE_IDS
+from fuzzyint.inequalities import STATEMENTS
 
 # ids from each verifier core: two-function, exponent-carrying, n-ary,
 # reverse and single-function families
@@ -60,7 +60,7 @@ PHI_POOLS = {
 
 def base_configs():
     for tid, ranges in THEOREMS.items():
-        reverse = tid in REVERSE_IDS
+        reverse = STATEMENTS[tid].reverse
         pool = (max_op(1.0), probsum_op()) if reverse else (min_op(1.0), prod_op(), smallest_op(0.5))
         stars = (max_op(1.0), max_op()) if reverse else (min_op(1.0), prod_op(1.0))
         for carrier in ("finite", "lebesgue_power"):

@@ -526,16 +526,27 @@ def test_domination_matches_loop_on_drawn_grids(dominant, dominated, cap, n, hi)
 exps_st = st.tuples(exponent_st, exponent_st, exponent_st)
 
 
+def ids_of_arity(arity):
+    """The statement ids of one function count, in catalog order."""
+    return tuple(tid for tid, stmt in ineq.STATEMENTS.items() if stmt.arity == arity)
+
+
 def nary_condition(tid, op, H, u, psi, xi, om, reverse, dnodes, cnodes):
-    """The n-ary condition on the form of family tid at the arity of H."""
-    ex = {"xi": xi, "omega": om} if tid in ineq.EXPONENT_NAMES else {}
+    """The n-ary condition on the form of family tid at the arity of H.
+
+    Only the transform families read u and psi, and only the power ones xi and om.
+    """
+    stmt = ineq.STATEMENTS[tid]
+    ex = {"xi": xi, "omega": om} if stmt.exponents else {}
+    if "u" not in stmt.fields:
+        u = psi = ()
     _, sides, pre, _, _ = ineq._form(tid, H.arity, None, H, u, psi, (), ex)
     return ineq._nary_condition(op, H, sides, pre, reverse, dnodes, cnodes)
 
 
 def binary_condition(op, star, xi, om, reverse, dnodes, cnodes):
     """A two-function condition: the n-ary one at arity 2 with H = star."""
-    ex = dict(zip(ineq.EXPONENT_NAMES["star_general"], xi + om))
+    ex = dict(zip(ineq.STATEMENTS["star_general"].exponents, xi + om))
     H, sides, pre, _, _ = ineq._form("star_general", 2, star, None, (), (), (), ex)
     return ineq._nary_condition(op, H, sides, pre, reverse, dnodes, cnodes)
 
@@ -543,11 +554,14 @@ def binary_condition(op, star, xi, om, reverse, dnodes, cnodes):
 def single_condition(tid, op, phi, exps, dnodes, cnodes):
     """A single-function condition: the n-ary one on the family's form at arity 1.
 
-    Only lyapunov reads exps, as its orders r and s.
+    Only lyapunov reads exps, as its orders r and s, and only the others phi.
     """
-    ex = dict(zip(ineq.EXPONENT_NAMES.get(tid, ()), exps))
+    stmt = ineq.STATEMENTS[tid]
+    ex = dict(zip(stmt.exponents, exps))
+    if "phi" not in stmt.fields:
+        phi = ()
     H, sides, pre, _, _ = ineq._form(tid, 1, None, None, (), (), phi, ex)
-    return ineq._nary_condition(op, H, sides, pre, tid in ineq.REVERSE_IDS, dnodes, cnodes)
+    return ineq._nary_condition(op, H, sides, pre, stmt.reverse, dnodes, cnodes)
 
 
 @given(ops_st, ops_st, exps_st, exps_st, st.booleans(), quarter_st, quarter_st)
@@ -567,7 +581,7 @@ def test_two_function_condition_clamps_like_the_nary_one():
 
 
 @given(
-    st.sampled_from(ineq.SINGLE_FUNCTION_IDS),
+    st.sampled_from(ids_of_arity(1)),
     ops_st,
     st.tuples(transform_st, transform_st),
     st.tuples(exponent_st, exponent_st),
@@ -599,7 +613,7 @@ def test_single_condition_replays_grid_power_errors(r, s, expected):
 @st.composite
 def nary_case(draw):
     arity = draw(st.sampled_from((2, 3)))
-    tid = draw(st.sampled_from(ineq.NARY_IDS))
+    tid = draw(st.sampled_from(ids_of_arity(None)))
     H = draw(aggregation_st(arity))
     u = draw(st.lists(transform_st, min_size=arity + 1, max_size=arity + 1))
     psi = draw(st.lists(transform_st, min_size=arity, max_size=arity))

@@ -36,9 +36,13 @@ from fuzzyint import (
     prod_op,
     verify,
 )
-from fuzzyint.inequalities import NARY_IDS, REVERSE_IDS, SINGLE_FUNCTION_IDS, TWO_FUNCTION_IDS
+from fuzzyint.inequalities import STATEMENTS
 
 TRIALS = 20
+# the two-function statements, then the n-ary ones, then the single-function ones
+PINNED_IDS = tuple(
+    tid for arity in (2, None, 1) for tid, stmt in STATEMENTS.items() if stmt.arity == arity
+)
 CARRIERS = ("finite", "lebesgue_power")
 FORWARD_OPS = (min_op(1.0), min_op(), prod_op(1.0), prod_op())
 REVERSE_OPS = (max_op(1.0), max_op(), probsum_op())
@@ -100,7 +104,7 @@ PINNED = {
 
 
 def configs(tid):
-    pool = REVERSE_OPS if tid in REVERSE_IDS else FORWARD_OPS
+    pool = REVERSE_OPS if STATEMENTS[tid].reverse else FORWARD_OPS
     H_pool = H_POOL + ((h_max(3),) if tid in ("thm31", "thm41") else ())
     phi_pools = ((),) + ((PHI_POOLS[tid],) if tid in PHI_POOLS else ())
     for respect, carrier, phi_pool in itertools.product(
@@ -115,7 +119,7 @@ def configs(tid):
             measure_family="random_table" if carrier == "finite" else "distorted",
             op_pool=pool,
             star_pool=pool,
-            H_pool=H_pool if tid in NARY_IDS else (),
+            H_pool=H_pool if STATEMENTS[tid].arity is None else (),
             phi_pool=phi_pool,
             exponent_ranges=tuple(sorted(EXPONENT_RANGES.get(tid, {}).items())),
             respect_hypotheses=respect,
@@ -131,7 +135,7 @@ def outcome_bytes(inst) -> bytes:
         return f"{type(exc).__name__}: {exc}".encode("ascii")
 
 
-@pytest.mark.parametrize("tid", TWO_FUNCTION_IDS + NARY_IDS + SINGLE_FUNCTION_IDS)
+@pytest.mark.parametrize("tid", PINNED_IDS)
 def test_verdict_digest_is_pinned(tid):
     hashes = {carrier: hashlib.sha256() for carrier in CARRIERS}
     for cfg in configs(tid):
