@@ -76,6 +76,9 @@ from .serialize import (
 
 PRNG_ALGORITHM = "philox4x64"
 _MAX_RANGE = 1e6
+# the exponent_ranges name of the power phi a Jensen campaign draws
+_PHI_P = "phi_p"
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -280,7 +283,7 @@ def _drawn_ranges(tid: str) -> tuple[str, ...]:
     """The exponent_ranges names a campaign of statement tid draws."""
     stmt = STATEMENTS[tid]
     if stmt.sides == "jensen":
-        return ("phi_p",)
+        return (_PHI_P,)
     if stmt.sides == "power" and stmt.arity is None:
         return ("xi_inner", "omega_inner")
     return stmt.exponents
@@ -408,7 +411,7 @@ def _draw(config: CampaignConfig, rng: np.random.Generator, ops: tuple, pool: tu
     elif "phi" in stmt.fields and pool:
         phi = _pick(rng, pool)
     elif stmt.sides == "jensen":
-        bounds = config.exponent_range(*_drawn_ranges(tid)) or (1.0, 3.0)
+        bounds = config.exponent_range(_PHI_P) or (1.0, 3.0)
         phi = (power(_lattice_draw(rng, bounds[0], bounds[1])),)
     elif tid == "thm33":
         phi = (power(2.0), identity())

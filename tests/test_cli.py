@@ -179,49 +179,66 @@ STAR_INSTANCE = dict(
 )
 
 
+# STAR_INSTANCE without its star, for statements that compare one function
+ONE_FUNCTION_INSTANCE = {k: v for k, v in STAR_INSTANCE.items() if k != "star"}
+
+
 @pytest.mark.parametrize(
-    "argv, doc",
+    "argv, doc, why",
     [
         (("verify", "--theorem", "chebyshev"),
-         {k: v for k, v in NAN_INSTANCE.items() if k != "op"}),
-        (("integrate", "--integral", "sugeno"), {"measure": LEB_SQRT["measure"], "functions": []}),
-        (("verify", "--theorem", "chebyshev"), NAN_INSTANCE),
-        (("verify", "--theorem", "chebyshev"), NON_MONOTONE_INSTANCE),
+         {k: v for k, v in NAN_INSTANCE.items() if k != "op"}, "needs field 'op'"),
+        (("integrate", "--integral", "sugeno"), {"measure": LEB_SQRT["measure"], "functions": []},
+         "malformed instance document"),
+        (("verify", "--theorem", "chebyshev"), NAN_INSTANCE, "got nan"),
+        (("verify", "--theorem", "chebyshev"), NON_MONOTONE_INSTANCE, "not monotone"),
         (("verify", "--theorem", "chebyshev"), dict(NAN_INSTANCE, functions=[
             {"type": "transformed", "base": {"type": "power", "p": 1},
              "transform": {"kind": "affine", "a": 1, "b": -0.3}},
             {"type": "power", "p": 2},
-        ])),
-        (("integrate", "--integral", "smallest-e"), dict(LEB_SQRT, e="0.5")),
-        (("integrate", "--integral", "smallest-e"), dict(LEB_SQRT, e=True)),
-        (("integrate", "--integral", "sugeno", "--tol", "0"), LEB_SQRT),
-        (("integrate", "--integral", "sugeno", "--tol", "-1"), LEB_SQRT),
-        (("verify", "--theorem", "chebyshev", "--tol", "-1"), instance_to_json(holding_instance())),
-        (("verify", "--theorem", "chebyshev", "--tol", "inf"), instance_to_json(failing_instance())),
-        (("verify", "--theorem", "chebyshev", "--tol", "nan"), instance_to_json(holding_instance())),
-        (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": [0.5]})),
+        ]), "offset b >= 0"),
+        (("integrate", "--integral", "smallest-e"), dict(LEB_SQRT, e="0.5"), "got '0.5'"),
+        (("integrate", "--integral", "smallest-e"), dict(LEB_SQRT, e=True), "got True"),
+        (("integrate", "--integral", "sugeno", "--tol", "0"), LEB_SQRT, "--tol"),
+        (("integrate", "--integral", "sugeno", "--tol", "-1"), LEB_SQRT, "--tol"),
+        (("verify", "--theorem", "chebyshev", "--tol", "-1"), instance_to_json(holding_instance()),
+         "--tol"),
+        (("verify", "--theorem", "chebyshev", "--tol", "inf"), instance_to_json(failing_instance()),
+         "--tol"),
+        (("verify", "--theorem", "chebyshev", "--tol", "nan"), instance_to_json(holding_instance()),
+         "--tol"),
+        (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": [0.5]}),
+         "exponent xi1 must be a number"),
         (("verify", "--theorem", "lyapunov"), dict(
-            STAR_INSTANCE, theorem="lyapunov", functions=STAR_INSTANCE["functions"][:1],
-            exponents={"r": [2.0]})),
-        (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": "0.5"})),
-        (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": True})),
+            ONE_FUNCTION_INSTANCE, theorem="lyapunov", functions=STAR_INSTANCE["functions"][:1],
+            exponents={"r": [2.0]}), "exponent r must be a number"),
+        (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": "0.5"}),
+         "got '0.5'"),
+        (("verify", "--theorem", "star_general"), dict(STAR_INSTANCE, exponents={"xi1": True}),
+         "got True"),
         # a name the family does not read, misspelt or an old alias, is not read as 1
         (("verify", "--theorem", "seminormed_general"),
-         dict(STAR_INSTANCE, theorem="seminormed_general", exponents={"lamda": 3.0})),
+         dict(STAR_INSTANCE, theorem="seminormed_general", exponents={"lamda": 3.0}),
+         "reads no exponent lamda"),
         (("verify", "--theorem", "seminormed_general"),
-         dict(STAR_INSTANCE, theorem="seminormed_general", exponents={"lam": 3.0})),
+         dict(STAR_INSTANCE, theorem="seminormed_general", exponents={"lam": 3.0}),
+         "reads no exponent lam"),
         # a misspelt top-level key is refused, not skipped so that λ reads as 1
         (("verify", "--theorem", "seminormed_general"),
-         dict(STAR_INSTANCE, theorem="seminormed_general", exponent={"lambda": 3.0})),
+         dict(STAR_INSTANCE, theorem="seminormed_general", exponent={"lambda": 3.0}),
+         "unknown fields 'exponent'"),
         # a field the statement does not read is refused, not left to change the tol
         (("verify", "--theorem", "jensen"),
-         dict(STAR_INSTANCE, theorem="jensen", functions=STAR_INSTANCE["functions"][:1])),
+         dict(STAR_INSTANCE, theorem="jensen", functions=STAR_INSTANCE["functions"][:1]),
+         "jensen reads no star"),
         # phi(1e300) = 1e300 ** 2 is beyond the float range
         (("verify", "--theorem", "jensen"), dict(
-            STAR_INSTANCE, theorem="jensen", functions=[{"type": "finite", "values": [1e300, 0.5]}],
-            phi=[{"kind": "power", "p": 2}])),
+            ONE_FUNCTION_INSTANCE, theorem="jensen",
+            functions=[{"type": "finite", "values": [1e300, 0.5]}],
+            phi=[{"kind": "power", "p": 2}]), "float overflow"),
         (("integrate", "--integral", "sugeno"),
-         dict(LEB_SQRT, function={"type": "lattice", "mode": "min", "parts": []})),
+         dict(LEB_SQRT, function={"type": "lattice", "mode": "min", "parts": []}),
+         "at least one part"),
     ],
     ids=["verify-without-op", "integrate-without-functions", "verify-nan-parameter",
          "verify-non-monotone-table", "verify-negative-affine-offset", "integrate-e-string",
@@ -232,14 +249,17 @@ STAR_INSTANCE = dict(
          "verify-unread-star",
          "verify-power-overflow", "lattice-empty-parts"],
 )
-def test_bad_instance_document_exits_two(tmp_path, capsys, argv, doc):
+def test_bad_instance_document_exits_two(tmp_path, capsys, argv, doc, why):
     path = tmp_path / "inst.json"
     # json.dumps spells nan as NaN, which JSON readers accept
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_cli(capsys, *argv, "--instance", str(path))
     assert (code, out) == (2, "")
     assert "Traceback" not in err
-    assert set(json.loads(err)) == {"error"}
+    error = json.loads(err)
+    assert set(error) == {"error"}
+    # each document reaches the refusal it is named for, not an earlier one
+    assert why in error["error"]
 
 
 # ---------------------------------------------------------------------------
