@@ -539,24 +539,28 @@ def make_comonotone_system(seed, n: int, k: int, scale: str = "unit"):
     A shared base vector h is drawn, then each function is a nondecreasing
     staircase reindexing of h's level order, so every pair is comonotone
     by construction.  scale 'unit' keeps values in [0, 1]; 'extended'
-    rescales by a factor in [0.5, EXTENDED_TOP).  Deterministic per seed.
+    rescales by a factor in [0.5, EXTENDED_TOP).  Deterministic per seed:
+    the n + k * (n + extended) doubles come from one ``random`` call, h
+    first, then each function's n levels and, if extended, its factor.
     """
     if n < 1 or k < 1:
         raise InputError("need n >= 1 and k >= 1")
+    if scale not in ("unit", "extended"):
+        raise InputError("scale must be 'unit' or 'extended'")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    h = rng.random(n)
-    order = np.argsort(h, kind="stable")
-    ranks = np.empty(n, dtype=int)
-    ranks[order] = np.arange(n)
+    step = n + (scale == "extended")
+    draws = rng.random(n + k * step).tolist()
+    # ranks[i] is h[i]'s place in h's stable sort order
+    ranks = [0] * n
+    for r, i in enumerate(sorted(range(n), key=draws.__getitem__)):
+        ranks[i] = r
     out = []
-    for _ in range(k):
-        levels = np.sort(rng.random(n))
-        vals = levels[ranks]
-        if scale == "extended":
-            vals = vals * (0.5 + (EXTENDED_TOP - 0.5) * rng.random())
-        elif scale != "unit":
-            raise InputError("scale must be 'unit' or 'extended'")
-        out.append(FiniteFunction(tuple(vals.tolist())))
+    for j in range(n, len(draws), step):
+        levels = sorted(draws[j : j + n])
+        if step > n:
+            c = 0.5 + (EXTENDED_TOP - 0.5) * draws[j + n]
+            levels = [v * c for v in levels]
+        out.append(FiniteFunction(tuple([levels[r] for r in ranks])))
     return out
 
 

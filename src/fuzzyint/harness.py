@@ -4,20 +4,30 @@ A campaign is fully described by its config; trial i draws from its own
 Philox stream, addressed by counter: key = seed and counter = i * 2**128
 mod 2**256, which is the stream ``Philox(key=seed).jumped(i)`` without the
 jump.  So any reported violation can be regenerated in isolation from
-(config, trial_index) alone.  Work that is the same for every trial (a
-thread's one Philox generator, moved to each trial by assigning its
-state; the popcount order of an n-point random table; a campaign's
-verified op pools) is done once, and never at import.  So is each
-interval draw: one power function or distorted measure per lattice
-value, shared by every trial that draws it while the campaign's memo
-store holds it (see :func:`~fuzzyint.inequalities._memo`).  A campaign
-runs in fresh memo stores, so a second one in a process runs as cold as
-the first.  It streams deterministic line-delimited JSON with no
-timestamps: same config, same bytes.  The stream is the record: each
-violation's instance is serialised once, its text giving both the digest
-and the streamed line's "instance", and the returned report keeps only
-each violation's trial, margin and digest.  Before the header, a probe
-runs the trial code on each pairing of pool entries a trial can draw.
+(config, trial_index) alone.  A trial reads the stream's 64-bit words in
+draw order: a bounded integer (a pool pick, n, a lattice exponent) takes
+32 bits by Lemire's method, low half of a word first, the high half kept
+for the next bounded draw and dropped at the next trial (see
+:class:`~fuzzyint.draws.TrialGenerator`); a double takes the top 53 bits
+of a whole word through ``Generator.random``, in one batch per comonotone
+system and per random table.  The raw Philox stream is stable under
+numpy's policy (NEP 19); ``Generator.random`` is not promised to be, and
+a test pins it.
+
+Work that is the same for every trial (a thread's one Philox generator,
+moved to each trial by assigning its state; the popcount order of an
+n-point random table; a campaign's verified op pools) is done once, and
+never at import.  So is each interval draw: one power function or
+distorted measure per lattice value, shared by every trial that draws it
+while the campaign's memo store holds it (see
+:func:`~fuzzyint.inequalities._memo`).  A campaign runs in fresh memo
+stores, so a second one in a process runs as cold as the first.  It
+streams deterministic line-delimited JSON with no timestamps: same
+config, same bytes.  The stream is the record: each violation's instance
+is serialised once, its text giving both the digest and the streamed
+line's "instance", and the returned report keeps only each violation's
+trial, margin and digest.  Before the header, a probe runs the trial
+code on each pairing of pool entries a trial can draw.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -62,6 +72,7 @@ from .inequalities import (
 from .serialize import (
     RawJSON,
     _json_int,
+    _refuse_unknown,
     digest,
     dumps_17g,
     instance_to_json,
@@ -73,6 +84,9 @@ from .serialize import (
     transform_from_json,
     transform_to_json,
 )
+
+if TYPE_CHECKING:
+    from .draws import TrialGenerator
 
 PRNG_ALGORITHM = "philox4x64"
 _MAX_RANGE = 1e6
@@ -184,9 +198,7 @@ class CampaignConfig:
             scale=d.get("scale", "unit"),
             shrink=_json_bool(d.get("shrink", True), "shrink"),
         )
-        unknown = sorted(set(d) - config.to_json().keys())
-        if unknown:
-            raise InputError(f"campaign config has unknown fields {', '.join(map(repr, unknown))}")
+        _refuse_unknown(d, config.to_json().keys(), "campaign config")
         return config
 
 
@@ -217,19 +229,24 @@ def _json_bool(v, name: str) -> bool:
 _thread = threading.local()
 
 
-def _rng_for(seed: int, trial_index: int) -> np.random.Generator:
+def _rng_for(seed: int, trial_index: int) -> TrialGenerator:
     # this thread's one generator, moved to the trial and valid until the
     # thread's next call.  jumped(i) adds i * 2**128 to the 256-bit counter,
-    # wrapping; an empty buffer makes the first draw advance the counter, as
+    # wrapping; empty buffers make the first draw advance the counter, as
     # a new generator does
     if not hasattr(_thread, "gen"):
-        _thread.gen = np.random.Generator(np.random.Philox(key=seed))
+        # numpy.random (about 2 MB) loads here, not when fuzzyint is imported
+        from .draws import TrialGenerator
+
+        _thread.gen = TrialGenerator(np.random.Philox(key=seed))
     i = trial_index % 2**128
     state = {"counter": [0, 0, i % 2**64, i >> 64], "key": [seed % 2**64, seed >> 64]}
-    _thread.gen.bit_generator.state = dict(
+    gen = _thread.gen
+    gen.bit_generator.state = dict(
         bit_generator="Philox", state=state, buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0
     )
-    return _thread.gen
+    gen._half = None
+    return gen
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,9 +270,8 @@ def random_table_measure(
     """
     _check_size(n)
     size = 1 << n
-    draws = np.sort(rng.uniform(0.0, 1.0, size=size))
     table = np.empty(size)
-    table[_cardinality_order(n)] = draws
+    table[_cardinality_order(n)] = np.sort(rng.random(size))
     table[0] = 0.0
     if table[-1] <= 0.0:  # all-zero draws are measure-zero but stay safe
         table[-1] = 1.0
@@ -265,18 +281,17 @@ def random_table_measure(
     return FiniteMonotoneMeasure._monotone(n, tuple(table.tolist()))
 
 
-def _lattice_draw(rng: np.random.Generator, lo: float, hi: float) -> float:
+def _lattice_draw(rng: TrialGenerator, lo: float, hi: float) -> float:
     """Uniform draw from the 0.05 lattice inside [lo, hi]."""
     k_lo = math.ceil(lo / 0.05 - 1e-9)
     k_hi = math.floor(hi / 0.05 + 1e-9)
     if k_hi < k_lo:
         return lo
-    k = int(rng.integers(k_lo, k_hi + 1))
-    return round(k * 0.05, 2)
+    return round((k_lo + rng.below(k_hi - k_lo + 1)) * 0.05, 2)
 
 
-def _pick(rng: np.random.Generator, pool: Sequence):
-    return pool[int(rng.integers(0, len(pool)))]
+def _pick(rng: TrialGenerator, pool: Sequence):
+    return pool[rng.below(len(pool))]
 
 
 def _drawn_ranges(tid: str) -> tuple[str, ...]:
@@ -289,7 +304,7 @@ def _drawn_ranges(tid: str) -> tuple[str, ...]:
     return stmt.exponents
 
 
-def _draw_exponents(config: CampaignConfig, rng: np.random.Generator, tid: str, k: int):
+def _draw_exponents(config: CampaignConfig, rng: TrialGenerator, tid: str, k: int):
     """The exponents of a trial of statement tid with k functions, by the
     names the statement reads; a name without a configured range reads as 1."""
     stmt = STATEMENTS[tid]
@@ -323,9 +338,10 @@ def _draw_exponents(config: CampaignConfig, rng: np.random.Generator, tid: str, 
     return exps or None
 
 
-def _draw_functions(config: CampaignConfig, rng: np.random.Generator, k: int):
+def _draw_functions(config: CampaignConfig, rng: TrialGenerator, k: int):
     if config.carrier == "finite":
-        n = int(rng.integers(config.n_range[0], config.n_range[1] + 1))
+        lo, hi = config.n_range
+        n = lo + rng.below(hi - lo + 1)
         funcs = make_comonotone_system(rng, n, k, scale=config.scale)
         return n, tuple(funcs)
     # interval carrier: power functions share monotonicity, hence comonotone
@@ -346,7 +362,7 @@ def _lebesgue(p: float) -> DistortedLebesgue:
     return DistortedLebesgue(power(p))
 
 
-def _draw_measure(config: CampaignConfig, rng: np.random.Generator, n: int, normalized: bool):
+def _draw_measure(config: CampaignConfig, rng: TrialGenerator, n: int, normalized: bool):
     if config.carrier == "lebesgue_power":
         p = 1.0  # power(1.0) is the identity distortion
         if config.measure_family == "distorted":
@@ -386,7 +402,7 @@ def gen_instance(config: CampaignConfig, trial_index: int) -> TheoremInstance:
     return _draw(config, _rng_for(config.seed, trial_index), *_pools(config))
 
 
-def _draw(config: CampaignConfig, rng: np.random.Generator, ops: tuple, pool: tuple) -> TheoremInstance:
+def _draw(config: CampaignConfig, rng: TrialGenerator, ops: tuple, pool: tuple) -> TheoremInstance:
     # pool is the statement's star, H or phi pool; an empty one gives the default
     tid = config.theorem_id
     stmt = STATEMENTS[tid]

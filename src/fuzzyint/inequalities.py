@@ -763,7 +763,10 @@ def _op_report(op: BinaryOp) -> PropertyReport:
     return verify_op_properties(op)
 
 
-def _summary_check(name: str, rep: PropertyReport) -> CheckResult:
+@_memo
+def _summary_check(name: str, op: BinaryOp) -> CheckResult:
+    """The one check, named name, that sums up op's property report."""
+    rep = _op_report(op)
     if rep.passed:
         return CheckResult(name, True)
     failing = [c for c in rep.checks if not c.passed]
@@ -855,6 +858,7 @@ def _mk_verdict(inst, form, rev: bool, lhs, rhs, checks, results, tol) -> Inequa
     # inf on both sides compares as equal rather than as nan
     margin = 0.0 if lhs == rhs else lhs - rhs
     report = PropertyReport(tuple(checks), {"tol": tol})
+    met = report.passed
     return InequalityVerdict(
         theorem_id=inst.theorem_id,
         lhs=lhs,
@@ -863,9 +867,9 @@ def _mk_verdict(inst, form, rev: bool, lhs, rhs, checks, results, tol) -> Inequa
         margin=margin,
         holds=margin <= tol if rev else margin >= -tol,
         tol=tol,
-        hypotheses_met=report.passed,
+        hypotheses_met=met,
         hypothesis_report=report,
-        notes=() if report.passed else ("hypotheses_unmet",),
+        notes=() if met else ("hypotheses_unmet",),
     )
 
 
@@ -917,9 +921,9 @@ def _verdict(inst: TheoremInstance, form, tol, skip_hypotheses: bool) -> Inequal
     if not skip_hypotheses:
         data_max = _data_max(inst.functions)
         hi_data = _snap_up(data_max)
-        checks.append(_summary_check("op_properties", _op_report(inst.op)))
+        checks.append(_summary_check("op_properties", inst.op))
         if stmt.arity == 2:
-            checks.append(_summary_check("star_properties", _op_report(H.op)))
+            checks.append(_summary_check("star_properties", H.op))
         elif stmt.arity is None:
             checks.append(_check_H_nondecreasing(H, _range_nodes(hi_data, 9)))
         if stmt.arity != 1:

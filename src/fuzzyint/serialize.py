@@ -14,7 +14,9 @@ record: ``digest(RawJSON(dumps_17g(d))) == digest(d)``.
 
 The readers (``*_from_json``) take documents from outside the program,
 so every failure they meet is an :class:`InputError`: a missing field,
-a field of the wrong type, a NaN where a number belongs.
+a field of the wrong type, a NaN where a number belongs, or a field the
+writer never emits for that kind, which would otherwise be skipped and
+leave its default in place.
 """
 
 from __future__ import annotations
@@ -201,6 +203,13 @@ def _json_int(v, name: str) -> int:
     return v
 
 
+def _refuse_unknown(d: dict, fields, what: str) -> None:
+    """Refuse the keys of d outside fields, those its writer emits."""
+    unknown = sorted(d.keys() - fields)
+    if unknown:
+        raise InputError(f"{what} has unknown fields {', '.join(map(repr, unknown))}")
+
+
 def _num_out(x: float):
     return "inf" if x == INF else float(x)
 
@@ -223,6 +232,11 @@ _OP_FROM_KIND = {
 }
 
 
+# the fields op_to_json writes for each kind
+_OP_FIELDS = dict.fromkeys(_OP_FROM_KIND, ("kind", "neutral", "cap"))
+_OP_FIELDS[KIND_CUSTOM] = ("kind", "neutral", "cap", "nodes", "values", "flags", "name")
+
+
 def op_to_json(op: BinaryOp) -> dict:
     d = {"kind": op.kind, "neutral": _num_out(op.neutral), "cap": _num_out(op.cap)}
     if op.kind == KIND_CUSTOM:
@@ -239,6 +253,9 @@ def op_to_json(op: BinaryOp) -> dict:
 @reading("op document")
 def op_from_json(d: dict) -> BinaryOp:
     kind = d.get("kind")
+    if kind not in _OP_FIELDS:
+        raise InputError(f"unknown op kind {kind!r}")
+    _refuse_unknown(d, _OP_FIELDS[kind], f"{kind} op document")
     if kind == KIND_CUSTOM:
         return table_op(
             [_num(t) for t in d["nodes"]],
@@ -248,12 +265,11 @@ def op_from_json(d: dict) -> BinaryOp:
             flags=d.get("flags", ()),
             name=d.get("name", ""),
         )
-    mk = _OP_FROM_KIND.get(kind)
-    if mk is None:
-        raise InputError(f"unknown op kind {kind!r}")
-    op = mk(d)
-    if "neutral" in d and _num(d["neutral"]) != op.neutral:
-        raise InputError(f"op kind {kind!r} has neutral {op.neutral}, not {d['neutral']!r}")
+    op = _OP_FROM_KIND[kind](d)
+    # a kind's fixed neutral or cap is written, and read back only to compare
+    for name in ("neutral", "cap"):
+        if name in d and _num(d[name]) != getattr(op, name):
+            raise InputError(f"op kind {kind!r} has {name} {getattr(op, name)}, not {d[name]!r}")
     return op
 
 
@@ -272,9 +288,20 @@ def transform_to_json(t: MonotoneTransform) -> dict:
     return {"kind": "compose", "parts": [transform_to_json(p) for p in t.parts]}
 
 
+# the fields transform_to_json writes for each kind
+_TRANSFORM_FIELDS = {
+    "identity": ("kind",),
+    "power": ("kind", "p"),
+    "affine": ("kind", "a", "b"),
+    "compose": ("kind", "parts"),
+}
+
+
 @reading("transform document")
 def transform_from_json(d: dict) -> MonotoneTransform:
     kind = d.get("kind")
+    if kind in _TRANSFORM_FIELDS:
+        _refuse_unknown(d, _TRANSFORM_FIELDS[kind], f"{kind} transform document")
     if kind == "identity":
         return identity()
     if kind == "power":
@@ -307,13 +334,18 @@ def measure_to_json(m) -> dict:
 def measure_from_json(d: dict):
     t = d.get("type")
     if t == "finite":
+        _refuse_unknown(d, ("type", "n", "table"), "finite measure document")
         n = _json_int(d["n"], "n")
         # before 1 << n sizes the table read below
         if not 1 <= n <= MAX_GROUND_SET:
             raise InputError(f"ground set size must be in 1..{MAX_GROUND_SET}")
+        masks = [str(s) for s in range(1 << n)]
         table = d["table"]
-        return FiniteMonotoneMeasure(n, tuple(_num(table[str(s)]) for s in range(1 << n)))
+        values = tuple(_num(table[s]) for s in masks)
+        _refuse_unknown(table, masks, f"{n}-point measure table")
+        return FiniteMonotoneMeasure(n, values)
     if t == "distorted_lebesgue":
+        _refuse_unknown(d, ("type", "distortion"), "distorted_lebesgue measure document")
         return DistortedLebesgue(transform_from_json(d["distortion"]))
     raise InputError(f"unknown measure type {t!r}")
 
@@ -354,9 +386,24 @@ def function_to_json(f) -> dict:
     raise InputError(f"cannot serialize function {type(f).__name__}")
 
 
+# the fields function_to_json writes for each type
+_FUNCTION_FIELDS = {
+    "finite": ("type", "values"),
+    "const": ("type", "c"),
+    "power": ("type", "p", "coef"),
+    "pwl": ("type", "x", "y"),
+    "capped": ("type", "base", "c"),
+    "floored": ("type", "base", "c"),
+    "lattice": ("type", "mode", "parts"),
+    "transformed": ("type", "base", "transform"),
+}
+
+
 @reading("function document")
 def function_from_json(d: dict):
     t = d.get("type")
+    if t in _FUNCTION_FIELDS:
+        _refuse_unknown(d, _FUNCTION_FIELDS[t], f"{t} function document")
     if t == "finite":
         return FiniteFunction(tuple(_num(v) for v in d["values"]))
     if t == "const":
@@ -395,17 +442,33 @@ def nary_to_json(H: NaryOp) -> dict:
     return d
 
 
+# the fields nary_to_json writes for each kind
+_NARY_FIELDS = {
+    "min": ("kind", "arity"),
+    "max": ("kind", "arity"),
+    "prod": ("kind", "arity"),
+    "wmean": ("kind", "arity", "weights"),
+    "table": ("kind", "arity", "nodes", "values"),
+}
+
+
 @reading("aggregation document")
 def nary_from_json(d: dict) -> NaryOp:
     kind = d.get("kind")
+    if kind not in _NARY_FIELDS:
+        raise InputError(f"unknown aggregation kind {kind!r}")
+    _refuse_unknown(d, _NARY_FIELDS[kind], f"{kind} aggregation document")
     arity = _json_int(d.get("arity", 2), "arity")
-    if kind in ("min", "max", "prod"):
-        return NaryOp(kind, arity)
     if kind == "wmean":
-        return h_wmean([_num(w) for w in d["weights"]])
-    if kind == "table":
-        return h_table([_num(t) for t in d["nodes"]], [_num(v) for v in d["values"]], arity)
-    raise InputError(f"unknown aggregation kind {kind!r}")
+        H = h_wmean([_num(w) for w in d["weights"]])
+    elif kind == "table":
+        H = h_table([_num(t) for t in d["nodes"]], [_num(v) for v in d["values"]], arity)
+    else:
+        H = NaryOp(kind, arity)
+    # a weighted mean's arity is its number of weights, written and compared
+    if H.arity != arity and "arity" in d:
+        raise InputError(f"{kind} aggregation has arity {H.arity}, not {arity}")
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +527,7 @@ def instance_from_json(d: dict) -> TheoremInstance:
             for k, v in d.get("exponents", {}).items()
         },
     )
-    unknown = sorted(set(d) - _INSTANCE_FIELDS)
-    if unknown:
-        raise InputError(f"instance document has unknown fields {', '.join(map(repr, unknown))}")
+    _refuse_unknown(d, _INSTANCE_FIELDS, "instance document")
     return inst
 
 

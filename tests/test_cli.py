@@ -227,6 +227,13 @@ ONE_FUNCTION_INSTANCE = {k: v for k, v in STAR_INSTANCE.items() if k != "star"}
         (("verify", "--theorem", "seminormed_general"),
          dict(STAR_INSTANCE, theorem="seminormed_general", exponent={"lambda": 3.0}),
          "unknown fields 'exponent'"),
+        # a misspelt key inside an op or function is refused, not read as its default
+        (("verify", "--theorem", "seminormed_general"),
+         dict(STAR_INSTANCE, theorem="seminormed_general", op={"kind": "min", "cpa": 1}),
+         "unknown fields 'cpa'"),
+        (("verify", "--theorem", "chebyshev"), dict(NAN_INSTANCE, functions=[
+            {"type": "power", "p": 2, "scale": 3}, {"type": "power", "p": 2}]),
+         "unknown fields 'scale'"),
         # a field the statement does not read is refused, not left to change the tol
         (("verify", "--theorem", "jensen"),
          dict(STAR_INSTANCE, theorem="jensen", functions=STAR_INSTANCE["functions"][:1]),
@@ -246,6 +253,7 @@ ONE_FUNCTION_INSTANCE = {k: v for k, v in STAR_INSTANCE.items() if k != "star"}
          "verify-tol-negative", "verify-tol-inf", "verify-tol-nan", "verify-exponent-list",
          "verify-moment-order-list", "verify-exponent-string", "verify-exponent-bool",
          "verify-unread-exponent", "verify-lam-alias", "verify-unknown-key",
+         "verify-op-cpa", "verify-function-scale",
          "verify-unread-star",
          "verify-power-overflow", "lattice-empty-parts"],
 )

@@ -40,7 +40,7 @@ from fuzzyint import (
     sup_value,
 )
 from fuzzyint import functions
-from fuzzyint.functions import COMONOTONE_SAMPLES
+from fuzzyint.functions import COMONOTONE_SAMPLES, EXTENDED_TOP
 from conftest import rng_of
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -312,6 +312,41 @@ def test_generated_systems_are_pairwise_comonotone():
             for b in fs:
                 ok, _ = is_comonotone(a, b)
                 assert ok
+
+
+def _per_call_comonotone_system(seed, n, k, scale="unit"):
+    """The reference system: one numpy call per draw, ranks by argsort."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    h = rng.random(n)
+    ranks = np.empty(n, dtype=int)
+    ranks[np.argsort(h, kind="stable")] = np.arange(n)
+    out = []
+    for _ in range(k):
+        vals = np.sort(rng.random(n))[ranks]
+        if scale == "extended":
+            vals = vals * (0.5 + (EXTENDED_TOP - 0.5) * rng.random())
+        out.append(FiniteFunction(tuple(vals.tolist())))
+    return out
+
+
+@pytest.mark.parametrize("scale", ["unit", "extended"])
+def test_batched_comonotone_system_matches_per_call_draws(scale):
+    for n in range(1, 13):
+        for k in range(1, 5):
+            seed = 100 * n + k
+            got = make_comonotone_system(seed, n, k, scale)
+            assert got == _per_call_comonotone_system(seed, n, k, scale)
+            gen, ref = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+            assert make_comonotone_system(gen, n, k, scale) == _per_call_comonotone_system(
+                ref, n, k, scale
+            )
+            # both read the same words, so the stream goes on from the same place
+            assert gen.random() == ref.random()
+
+
+def test_comonotone_system_refuses_an_unknown_scale():
+    with pytest.raises(InputError, match="scale must be"):
+        make_comonotone_system(1, 3, 2, scale="wide")
 
 
 # ---------------------------------------------------------------------------

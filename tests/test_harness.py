@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import json
+import random
 import sys
 import threading
 import time
@@ -292,6 +293,49 @@ def test_trial_stream_is_the_stream_jumped_trial_times(seed):
         # from a generator that has already drawn
         assert _mixed_draws(_rng_for(seed, i)) == jumped
         assert _mixed_draws(_rng_for(seed, i)) == jumped
+
+
+# counts up to the largest the draws meet, 20,000,001 lattice exponents in
+# [0.05, 1e6], then the top of the 32-bit method; 2**31 + 1 and 3 * 2**30
+# reject about half and a quarter of their words, so retries are compared too
+BOUNDED_COUNTS = tuple(range(1, 60)) + (20_000_001, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
+
+
+def test_bounded_draw_is_generator_integers_on_the_same_stream():
+    # 200 keys, each trial's draws interleaved with doubles, as a trial
+    # draws them; a numpy whose integers moved fails here, before any stream
+    for key in range(200):
+        gen = _rng_for(key, 0)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        script = random.Random(key)
+        for _ in range(60):
+            count = script.choice(BOUNDED_COUNTS)
+            lo = script.randrange(-3, 4)
+            assert lo + gen.below(count) == int(ref.integers(lo, lo + count)), (key, count)
+            if script.random() < 0.5:
+                n = script.randrange(0, 9)
+                assert gen.random(n).tolist() == ref.random(n).tolist()
+
+
+def test_bounded_draw_of_one_value_reads_no_word():
+    gen = _rng_for(7, 3)
+    ref = np.random.Philox(key=7).jumped(3)
+    assert gen.below(1) == 0
+    assert gen.bit_generator.random_raw() == ref.random_raw()
+    # nor does it spend or drop a kept half-word
+    gen, ref = _rng_for(7, 3), np.random.Generator(np.random.Philox(key=7).jumped(3))
+    got = [gen.below(5), gen.below(1), gen.below(5)]
+    assert got == [int(ref.integers(0, 5)), int(ref.integers(0, 1)), int(ref.integers(0, 5))]
+
+
+def test_doubles_are_the_top_53_bits_of_the_raw_words():
+    # the raw Philox stream is stable under numpy's policy, Generator.random is not
+    for key in range(100):
+        for n in (1, 2, 7, 64, 256):
+            raw = np.random.Philox(key=key).random_raw(n)
+            want = ((raw >> 11) * 2.0**-53).tolist()
+            assert np.random.Generator(np.random.Philox(key=key)).random(n).tolist() == want
+            assert np.random.Generator(np.random.Philox(key=key)).random() == want[0]
 
 
 def test_interleaved_and_threaded_campaigns_draw_the_instances_they_draw_alone():

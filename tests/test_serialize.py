@@ -419,6 +419,53 @@ def test_readers_reject_nan_numbers(reader, doc):
         reader(doc)
 
 
+def _written_documents():
+    """(reader, document) for each kind or type its writer emits."""
+    nodes = (0.0, 0.5, 1.0)
+    table = table_op(nodes, [min(a, b) for a in nodes for b in nodes], neutral=1.0, name="min3")
+    for op in ALL_OPS + [table]:
+        yield op_from_json, op_to_json(op)
+    for t in (identity(), power(2.5), affine(2.0, 0.25), compose(power(2.0), affine(0.5, 0.1))):
+        yield transform_from_json, transform_to_json(t)
+    for m in (FiniteMonotoneMeasure(2, (0.0, 0.2, 0.3, 1.0)), DistortedLebesgue(power(2.0))):
+        yield measure_from_json, measure_to_json(m)
+    for f in FUNCTION_CASES:
+        yield function_from_json, function_to_json(f)
+    for H in (h_min(3), h_wmean((0.25, 0.75)), h_table(nodes, table.table_values)):
+        yield nary_from_json, nary_to_json(H)
+
+
+@pytest.mark.parametrize("reader, doc", list(_written_documents()))
+def test_readers_refuse_a_field_their_writer_never_emits(reader, doc):
+    reader(doc)
+    with pytest.raises(InputError, match=r" document has unknown fields 'spare'$"):
+        reader(dict(doc, spare=1))
+
+
+@pytest.mark.parametrize(
+    "reader, doc, needle",
+    [
+        # a misspelt cap would leave the op at cap inf, the universal integral
+        (op_from_json, {"kind": "min", "cpa": 1}, "min op document has unknown fields 'cpa'"),
+        (function_from_json, {"type": "power", "p": 2, "scale": 3},
+         "power function document has unknown fields 'scale'"),
+        (op_from_json, {"kind": "custom", "nodes": [0, 1], "values": [0, 0, 0, 1], "neutral": 1,
+                        "flag": ["commutative"]}, "custom op document has unknown fields 'flag'"),
+        (measure_from_json, {"type": "finite", "n": 1, "table": {"0": 0, "1": 1, "2": 1}},
+         "1-point measure table has unknown fields '2'"),
+        (measure_from_json, {"type": "finite", "n": 1, "table": {"0": 0, "1": 1, "01": 0.5}},
+         "1-point measure table has unknown fields '01'"),
+        # a value a kind fixes is compared, not ignored
+        (op_from_json, {"kind": "lukasiewicz", "cap": 5}, "has cap 1.0, not 5"),
+        (nary_from_json, {"kind": "wmean", "arity": 3, "weights": [0.5, 0.5]},
+         "wmean aggregation has arity 2, not 3"),
+    ],
+)
+def test_readers_refuse_fields_that_would_read_as_defaults(reader, doc, needle):
+    with pytest.raises(InputError, match=needle):
+        reader(doc)
+
+
 def test_custom_table_op_round_trips_through_an_instance():
     nodes = (0.0, 0.5, 1.0)
     op = table_op(
