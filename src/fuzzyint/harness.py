@@ -105,7 +105,7 @@ class CampaignConfig:
     n_range: tuple[int, int] = (2, 8)
     measure_family: str = "random_table"  # "random_table" | "counting" | "distorted"
     distortion_p_range: tuple[float, float] = (0.5, 2.0)
-    op_pool: tuple[BinaryOp, ...] = (min_op(),)
+    op_pool: tuple[BinaryOp, ...] = ()  # an empty pool is (min_op(),)
     star_pool: tuple[BinaryOp, ...] = ()
     H_pool: tuple[NaryOp, ...] = ()
     phi_pool: tuple[tuple[MonotoneTransform, ...], ...] = ()
@@ -116,6 +116,8 @@ class CampaignConfig:
     shrink: bool = True
 
     def __post_init__(self):
+        if not self.op_pool:
+            object.__setattr__(self, "op_pool", (min_op(),))
         if self.theorem_id not in THEOREM_IDS:
             raise InputError(f"unknown theorem id {self.theorem_id!r}")
         if not 0 <= self.seed < 2**128:
@@ -174,29 +176,10 @@ class CampaignConfig:
     def from_json(cls, d: dict) -> "CampaignConfig":
         """Config from its JSON document; a missing, mistyped or unknown field is an InputError."""
         config = cls(
-            theorem_id=d["theorem"],
-            seed=_json_int(d["seed"], "seed"),
-            trials=_json_int(d["trials"], "trials"),
-            carrier=d.get("carrier", "finite"),
-            n_range=tuple(_json_int(x, "n_range entry") for x in d.get("n_range", (2, 8))),
-            measure_family=d.get("measure_family", "random_table"),
-            distortion_p_range=_json_range(
-                d.get("distortion_p_range", (0.5, 2.0)), "distortion_p_range"
-            ),
-            op_pool=tuple(op_from_json(o) for o in d.get("op_pool", ())) or (min_op(),),
-            star_pool=tuple(op_from_json(o) for o in d.get("star_pool", ())),
-            H_pool=tuple(nary_from_json(h) for h in d.get("H_pool", ())),
-            phi_pool=tuple(
-                tuple(transform_from_json(t) for t in ts) for ts in d.get("phi_pool", ())
-            ),
-            exponent_ranges=tuple(
-                (k, _json_range(v, f"exponent range {k}"))
-                for k, v in sorted(d.get("exponent_ranges", {}).items())
-            ),
-            respect_hypotheses=_json_bool(d.get("respect_hypotheses", True), "respect_hypotheses"),
-            normalize_measure=_json_bool(d.get("normalize_measure", True), "normalize_measure"),
-            scale=d.get("scale", "unit"),
-            shrink=_json_bool(d.get("shrink", True), "shrink"),
+            d["theorem"],
+            _json_int(d["seed"], "seed"),
+            _json_int(d["trials"], "trials"),
+            **{name: read(d[name]) for name, read in _CONFIG_READERS.items() if name in d},
         )
         _refuse_unknown(d, config.to_json().keys(), "campaign config")
         return config
@@ -219,6 +202,27 @@ def _json_bool(v, name: str) -> bool:
     if not isinstance(v, bool):
         raise TypeError(f"{name} must be true or false, got {v!r}")
     return v
+
+
+# the reader of each optional field of a config document, in field order;
+# a field the document leaves out takes the dataclass default
+_CONFIG_READERS = {
+    "carrier": lambda v: v,
+    "n_range": lambda v: tuple(_json_int(x, "n_range entry") for x in v),
+    "measure_family": lambda v: v,
+    "distortion_p_range": lambda v: _json_range(v, "distortion_p_range"),
+    "op_pool": lambda v: tuple(op_from_json(o) for o in v),
+    "star_pool": lambda v: tuple(op_from_json(o) for o in v),
+    "H_pool": lambda v: tuple(nary_from_json(h) for h in v),
+    "phi_pool": lambda v: tuple(tuple(transform_from_json(t) for t in ts) for ts in v),
+    "exponent_ranges": lambda v: tuple(
+        (k, _json_range(r, f"exponent range {k}")) for k, r in sorted(v.items())
+    ),
+    "respect_hypotheses": lambda v: _json_bool(v, "respect_hypotheses"),
+    "normalize_measure": lambda v: _json_bool(v, "normalize_measure"),
+    "scale": lambda v: v,
+    "shrink": lambda v: _json_bool(v, "shrink"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +386,7 @@ def _pools(config: CampaignConfig) -> tuple[tuple, tuple]:
     """A trial's op pool and the one star, H or phi pool its statement reads;
     respecting hypotheses keeps the verified ops and stars."""
     fields = STATEMENTS[config.theorem_id].fields
-    ops = config.op_pool or (min_op(),)
+    ops = config.op_pool
     pool = ()
     if "H" in fields:
         pool = config.H_pool
@@ -435,7 +439,7 @@ def _draw(config: CampaignConfig, rng: TrialGenerator, ops: tuple, pool: tuple) 
         phi = (identity(), power(2.0))
 
     exponents = _draw_exponents(config, rng, tid, k)
-    return TheoremInstance.make(
+    return TheoremInstance(
         tid,
         op,
         measure,
@@ -678,7 +682,7 @@ def reproduce_paper() -> FixtureReport:
     v_sqrt = sugeno(leb, PowerFunction(0.5)).value
     v_one = sugeno(leb, ConstFunction(1.0)).value
     v_id = sugeno(leb, PowerFunction(1.0)).value
-    inst = TheoremInstance.make(
+    inst = TheoremInstance(
         "star_general",
         min_op(),
         leb,

@@ -71,7 +71,7 @@ from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial, reduce, wraps
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -97,6 +97,7 @@ from .ops import (
     sum_op,
     verify_op_properties,
 )
+from . import functions
 from .functions import (
     IDENTITY,
     FiniteFunction,
@@ -227,6 +228,11 @@ def _memo(fn):
 
 # the BinaryOp each named aggregation folds, built from its kind
 _FOLDS = {"min": min_op, "max": max_op, "prod": prod_op}
+# the largest arity k an aggregation takes: the monotonicity check of H makes
+# 9**k * k * 9 calls of H, and a verify of a drawn thm32 instance takes 0.3 s
+# of CPU at k = 4 and 3.6 s at k = 5 (Python 3.11, Xeon), over 10 times more
+# per step
+MAX_ARITY = 5
 
 
 @dataclass(frozen=True)
@@ -255,6 +261,8 @@ class NaryOp:
             raise InputError(f"unknown aggregation kind {self.kind!r}")
         if self.arity < 1:
             raise InputError("aggregation needs arity >= 1")
+        if self.arity > MAX_ARITY:
+            raise InputError(f"aggregation takes at most arity {MAX_ARITY}")
         if self.kind == "binary" and (self.arity != 2 or self.op is None):
             raise InputError("binary aggregation needs arity 2 and an operation")
         if self.kind in _FOLDS:
@@ -375,9 +383,16 @@ def _check_H_nondecreasing(H: NaryOp, nodes: Sequence[float]) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _freeze_exponents(exponents) -> tuple:
+class _Exponents(tuple):
+    """Exponents in their frozen form: (name, float or tuple of floats)
+    pairs sorted by name.  The type marks a value that needs no freezing."""
+
+    __slots__ = ()
+
+
+def _freeze_exponents(exponents) -> _Exponents:
     if exponents is None:
-        return ()
+        return _Exponents()
     if isinstance(exponents, Mapping):
         items = exponents.items()
     else:
@@ -388,12 +403,18 @@ def _freeze_exponents(exponents) -> tuple:
             out.append((str(k), tuple(float(x) for x in v)))
         else:
             out.append((str(k), float(v)))
-    return tuple(out)
+    return _Exponents(out)
 
 
 @dataclass(frozen=True)
 class TheoremInstance:
-    """One inequality family applied to concrete data."""
+    """One inequality family applied to concrete data.
+
+    functions, u, psi and phi may be given as any iterables and are kept
+    as tuples; exponents may be a mapping, pairs or None, and are kept
+    frozen as sorted (name, value) pairs, a list of numbers as a tuple of
+    floats.  So equal data makes equal, hashable instances with one digest.
+    """
 
     theorem_id: str
     op: BinaryOp
@@ -404,40 +425,20 @@ class TheoremInstance:
     u: tuple[MonotoneTransform, ...] = ()
     psi: tuple[MonotoneTransform, ...] = ()
     phi: tuple[MonotoneTransform, ...] = ()
-    exponents: tuple = ()
+    exponents: tuple = _Exponents()
 
     def __post_init__(self):
-        if self.theorem_id not in THEOREM_IDS:
+        if self.theorem_id not in STATEMENTS:
             raise InputError(f"unknown theorem id {self.theorem_id!r}")
+        # a field already in normal form is neither rebuilt nor reassigned:
+        # shrinking replaces an instance once per candidate
+        if not (type(self.functions) is type(self.u) is type(self.psi) is type(self.phi) is tuple):
+            for name in ("functions", "u", "psi", "phi"):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.functions:
             raise InputError("instance needs at least one function")
-
-    @classmethod
-    def make(
-        cls,
-        theorem_id: str,
-        op: BinaryOp,
-        measure: Measure,
-        functions: Iterable,
-        star: BinaryOp | None = None,
-        H: NaryOp | None = None,
-        u: Iterable[MonotoneTransform] = (),
-        psi: Iterable[MonotoneTransform] = (),
-        phi: Iterable[MonotoneTransform] = (),
-        exponents=None,
-    ) -> "TheoremInstance":
-        return cls(
-            theorem_id=theorem_id,
-            op=op,
-            measure=measure,
-            functions=tuple(functions),
-            star=star,
-            H=H,
-            u=tuple(u),
-            psi=tuple(psi),
-            phi=tuple(phi),
-            exponents=_freeze_exponents(exponents),
-        )
+        if type(self.exponents) is not _Exponents:
+            object.__setattr__(self, "exponents", _freeze_exponents(self.exponents))
 
     def exponent(self, name: str, default: float = 1.0):
         for k, v in self.exponents:
@@ -723,9 +724,6 @@ def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
     mean or a table is evaluated row by row; on the unit interval a
     weighted mean is a sum of scaled functions, and a table is rejected.
     """
-    # imported per call so a wrapper installed on the module is seen
-    from .functions import pointwise_combine
-
     finite = all(isinstance(f, FiniteFunction) for f in funcs)
     if finite:
         if any(f.n != funcs[0].n for f in funcs):
@@ -735,20 +733,19 @@ def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
     if H.op is not None:
         out = funcs[0]
         for f in funcs[1:]:
-            out = pointwise_combine(H.op, out, f)
+            # called through the module, so a wrapper installed on it is seen
+            out = functions.pointwise_combine(H.op, out, f)
         return out
     if finite:
         return FiniteFunction(tuple(H(row) for row in zip(*(f.values for f in funcs))))
     if H.kind == "wmean":
+        # NaryOp refuses weights without a positive sum, so out is set
         total = sum(H.weights)
         out = None
         for w, f in zip(H.weights, funcs):
-            term = apply_transform(affine(w / total, 0.0), f) if w > 0.0 else None
-            if term is None:
-                continue
-            out = term if out is None else pointwise_combine(_PSUM, out, term)
-        if out is None:
-            raise InputError("weighted mean needs at least one positive weight")
+            if w > 0.0:
+                term = apply_transform(affine(w / total, 0.0), f)
+                out = term if out is None else functions.pointwise_combine(_PSUM, out, term)
         return out
     raise InputError("table aggregations need a finite carrier")
 

@@ -16,7 +16,10 @@ The readers (``*_from_json``) take documents from outside the program,
 so every failure they meet is an :class:`InputError`: a missing field,
 a field of the wrong type, a NaN where a number belongs, or a field the
 writer never emits for that kind, which would otherwise be skipped and
-leave its default in place.
+leave its default in place.  Each family of documents (ops, transforms,
+measures, functions, aggregations) is one table of rows by kind, each
+row the fields the writer emits for that kind and its reader, and
+:func:`_read_kind` reads every family through its table.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .functions import (
     power,
 )
 from .measures import MAX_GROUND_SET, DistortedLebesgue, FiniteMonotoneMeasure
-from .inequalities import NaryOp, TheoremInstance, h_table, h_wmean
+from .inequalities import NaryOp, TheoremInstance, h_wmean
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +199,10 @@ def _num(x) -> float:
     raise InputError(f"expected a number or \"inf\", got {x!r}")
 
 
+def _nums(v) -> tuple:
+    return tuple(_num(x) for x in v)
+
+
 def _json_int(v, name: str) -> int:
     # a JSON bool parses to a Python bool, which is an int
     if isinstance(v, bool) or not isinstance(v, int):
@@ -210,6 +217,18 @@ def _refuse_unknown(d: dict, fields, what: str) -> None:
         raise InputError(f"{what} has unknown fields {', '.join(map(repr, unknown))}")
 
 
+def _read_kind(d: dict, rows: dict, noun: str, key: str = "kind"):
+    """Read d by the row (fields, reader) of its kind, d[key]: an unknown
+    kind is refused, then any field outside the row, which the writer
+    never emits for that kind."""
+    kind = d.get(key)
+    if not (isinstance(kind, str) and kind in rows):
+        raise InputError(f"unknown {noun} {key} {kind!r}")
+    fields, read = rows[kind]
+    _refuse_unknown(d, fields, f"{kind} {noun} document")
+    return read(d)
+
+
 def _num_out(x: float):
     return "inf" if x == INF else float(x)
 
@@ -218,23 +237,37 @@ def _num_out(x: float):
 # binary ops
 # ---------------------------------------------------------------------------
 
-_OP_FROM_KIND = {
-    "min": lambda d: min_op(cap=_num(d.get("cap", "inf"))),
-    "prod": lambda d: prod_op(cap=_num(d.get("cap", "inf"))),
-    "smallest": lambda d: smallest_op(_num(d["neutral"])),
-    "greatest": lambda d: greatest_op(_num(d["neutral"])),
-    "lukasiewicz": lambda d: lukasiewicz_op(),
-    "drastic": lambda d: drastic_op(),
-    "max": lambda d: max_op(cap=_num(d.get("cap", "inf"))),
-    "sum": lambda d: sum_op(cap=_num(d.get("cap", "inf"))),
-    "probsum": lambda d: probsum_op(),
-    "luk_conorm": lambda d: luk_conorm_op(),
+_OP = ("kind", "neutral", "cap")
+
+
+def _capped(make):
+    return lambda d: make(cap=_num(d.get("cap", "inf")))
+
+
+# each op kind: the fields op_to_json writes, and its reader
+_OPS = {
+    "min": (_OP, _capped(min_op)),
+    "prod": (_OP, _capped(prod_op)),
+    "smallest": (_OP, lambda d: smallest_op(_num(d["neutral"]))),
+    "greatest": (_OP, lambda d: greatest_op(_num(d["neutral"]))),
+    "lukasiewicz": (_OP, lambda d: lukasiewicz_op()),
+    "drastic": (_OP, lambda d: drastic_op()),
+    "max": (_OP, _capped(max_op)),
+    "sum": (_OP, _capped(sum_op)),
+    "probsum": (_OP, lambda d: probsum_op()),
+    "luk_conorm": (_OP, lambda d: luk_conorm_op()),
+    KIND_CUSTOM: (
+        _OP + ("nodes", "values", "flags", "name"),
+        lambda d: table_op(
+            _nums(d["nodes"]),
+            _nums(d["values"]),
+            neutral=_num(d["neutral"]),
+            cap=_num(d.get("cap", 1.0)),
+            flags=d.get("flags", ()),
+            name=d.get("name", ""),
+        ),
+    ),
 }
-
-
-# the fields op_to_json writes for each kind
-_OP_FIELDS = dict.fromkeys(_OP_FROM_KIND, ("kind", "neutral", "cap"))
-_OP_FIELDS[KIND_CUSTOM] = ("kind", "neutral", "cap", "nodes", "values", "flags", "name")
 
 
 def op_to_json(op: BinaryOp) -> dict:
@@ -252,24 +285,11 @@ def op_to_json(op: BinaryOp) -> dict:
 
 @reading("op document")
 def op_from_json(d: dict) -> BinaryOp:
-    kind = d.get("kind")
-    if kind not in _OP_FIELDS:
-        raise InputError(f"unknown op kind {kind!r}")
-    _refuse_unknown(d, _OP_FIELDS[kind], f"{kind} op document")
-    if kind == KIND_CUSTOM:
-        return table_op(
-            [_num(t) for t in d["nodes"]],
-            [_num(v) for v in d["values"]],
-            neutral=_num(d["neutral"]),
-            cap=_num(d.get("cap", 1.0)),
-            flags=d.get("flags", ()),
-            name=d.get("name", ""),
-        )
-    op = _OP_FROM_KIND[kind](d)
+    op = _read_kind(d, _OPS, "op")
     # a kind's fixed neutral or cap is written, and read back only to compare
     for name in ("neutral", "cap"):
         if name in d and _num(d[name]) != getattr(op, name):
-            raise InputError(f"op kind {kind!r} has {name} {getattr(op, name)}, not {d[name]!r}")
+            raise InputError(f"op kind {op.kind!r} has {name} {getattr(op, name)}, not {d[name]!r}")
     return op
 
 
@@ -288,29 +308,21 @@ def transform_to_json(t: MonotoneTransform) -> dict:
     return {"kind": "compose", "parts": [transform_to_json(p) for p in t.parts]}
 
 
-# the fields transform_to_json writes for each kind
-_TRANSFORM_FIELDS = {
-    "identity": ("kind",),
-    "power": ("kind", "p"),
-    "affine": ("kind", "a", "b"),
-    "compose": ("kind", "parts"),
+# each transform kind: the fields transform_to_json writes, and its reader
+_TRANSFORMS = {
+    "identity": (("kind",), lambda d: identity()),
+    "power": (("kind", "p"), lambda d: power(_num(d["p"]))),
+    "affine": (("kind", "a", "b"), lambda d: affine(_num(d["a"]), _num(d.get("b", 0.0)))),
+    "compose": (
+        ("kind", "parts"),
+        lambda d: compose(*(transform_from_json(p) for p in d["parts"])),
+    ),
 }
 
 
 @reading("transform document")
 def transform_from_json(d: dict) -> MonotoneTransform:
-    kind = d.get("kind")
-    if kind in _TRANSFORM_FIELDS:
-        _refuse_unknown(d, _TRANSFORM_FIELDS[kind], f"{kind} transform document")
-    if kind == "identity":
-        return identity()
-    if kind == "power":
-        return power(_num(d["p"]))
-    if kind == "affine":
-        return affine(_num(d["a"]), _num(d.get("b", 0.0)))
-    if kind == "compose":
-        return compose(*(transform_from_json(p) for p in d["parts"]))
-    raise InputError(f"unknown transform kind {kind!r}")
+    return _read_kind(d, _TRANSFORMS, "transform")
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +342,31 @@ def measure_to_json(m) -> dict:
     raise InputError(f"cannot serialize measure {type(m).__name__}")
 
 
+def _finite_measure_from_json(d: dict) -> FiniteMonotoneMeasure:
+    n = _json_int(d["n"], "n")
+    # before 1 << n sizes the table read below
+    if not 1 <= n <= MAX_GROUND_SET:
+        raise InputError(f"ground set size must be in 1..{MAX_GROUND_SET}")
+    masks = [str(s) for s in range(1 << n)]
+    table = d["table"]
+    values = _nums(table[s] for s in masks)
+    _refuse_unknown(table, masks, f"{n}-point measure table")
+    return FiniteMonotoneMeasure(n, values)
+
+
+# each measure type: the fields measure_to_json writes, and its reader
+_MEASURES = {
+    "finite": (("type", "n", "table"), _finite_measure_from_json),
+    "distorted_lebesgue": (
+        ("type", "distortion"),
+        lambda d: DistortedLebesgue(transform_from_json(d["distortion"])),
+    ),
+}
+
+
 @reading("measure document")
 def measure_from_json(d: dict):
-    t = d.get("type")
-    if t == "finite":
-        _refuse_unknown(d, ("type", "n", "table"), "finite measure document")
-        n = _json_int(d["n"], "n")
-        # before 1 << n sizes the table read below
-        if not 1 <= n <= MAX_GROUND_SET:
-            raise InputError(f"ground set size must be in 1..{MAX_GROUND_SET}")
-        masks = [str(s) for s in range(1 << n)]
-        table = d["table"]
-        values = tuple(_num(table[s]) for s in masks)
-        _refuse_unknown(table, masks, f"{n}-point measure table")
-        return FiniteMonotoneMeasure(n, values)
-    if t == "distorted_lebesgue":
-        _refuse_unknown(d, ("type", "distortion"), "distorted_lebesgue measure document")
-        return DistortedLebesgue(transform_from_json(d["distortion"]))
-    raise InputError(f"unknown measure type {t!r}")
+    return _read_kind(d, _MEASURES, "measure", "type")
 
 
 # ---------------------------------------------------------------------------
@@ -386,43 +405,35 @@ def function_to_json(f) -> dict:
     raise InputError(f"cannot serialize function {type(f).__name__}")
 
 
-# the fields function_to_json writes for each type
-_FUNCTION_FIELDS = {
-    "finite": ("type", "values"),
-    "const": ("type", "c"),
-    "power": ("type", "p", "coef"),
-    "pwl": ("type", "x", "y"),
-    "capped": ("type", "base", "c"),
-    "floored": ("type", "base", "c"),
-    "lattice": ("type", "mode", "parts"),
-    "transformed": ("type", "base", "transform"),
+def _base(d: dict):
+    return function_from_json(d["base"])
+
+
+# each function type: the fields function_to_json writes, and its reader
+_FUNCTIONS = {
+    "finite": (("type", "values"), lambda d: FiniteFunction(_nums(d["values"]))),
+    "const": (("type", "c"), lambda d: ConstFunction(_num(d["c"]))),
+    "power": (
+        ("type", "p", "coef"),
+        lambda d: PowerFunction(_num(d["p"]), _num(d.get("coef", 1.0))),
+    ),
+    "pwl": (("type", "x", "y"), lambda d: PwlFunction(_nums(d["x"]), _nums(d["y"]))),
+    "capped": (("type", "base", "c"), lambda d: CappedFunction(_base(d), _num(d["c"]))),
+    "floored": (("type", "base", "c"), lambda d: FlooredFunction(_base(d), _num(d["c"]))),
+    "lattice": (
+        ("type", "mode", "parts"),
+        lambda d: LatticeCombo(d["mode"], tuple(function_from_json(p) for p in d["parts"])),
+    ),
+    "transformed": (
+        ("type", "base", "transform"),
+        lambda d: TransformedFunction(_base(d), transform_from_json(d["transform"])),
+    ),
 }
 
 
 @reading("function document")
 def function_from_json(d: dict):
-    t = d.get("type")
-    if t in _FUNCTION_FIELDS:
-        _refuse_unknown(d, _FUNCTION_FIELDS[t], f"{t} function document")
-    if t == "finite":
-        return FiniteFunction(tuple(_num(v) for v in d["values"]))
-    if t == "const":
-        return ConstFunction(_num(d["c"]))
-    if t == "power":
-        return PowerFunction(_num(d["p"]), _num(d.get("coef", 1.0)))
-    if t == "pwl":
-        return PwlFunction(tuple(_num(v) for v in d["x"]), tuple(_num(v) for v in d["y"]))
-    if t == "capped":
-        return CappedFunction(function_from_json(d["base"]), _num(d["c"]))
-    if t == "floored":
-        return FlooredFunction(function_from_json(d["base"]), _num(d["c"]))
-    if t == "lattice":
-        return LatticeCombo(d["mode"], tuple(function_from_json(p) for p in d["parts"]))
-    if t == "transformed":
-        return TransformedFunction(
-            function_from_json(d["base"]), transform_from_json(d["transform"])
-        )
-    raise InputError(f"unknown function type {t!r}")
+    return _read_kind(d, _FUNCTIONS, "function", "type")
 
 
 # ---------------------------------------------------------------------------
@@ -442,33 +453,35 @@ def nary_to_json(H: NaryOp) -> dict:
     return d
 
 
-# the fields nary_to_json writes for each kind
-_NARY_FIELDS = {
-    "min": ("kind", "arity"),
-    "max": ("kind", "arity"),
-    "prod": ("kind", "arity"),
-    "wmean": ("kind", "arity", "weights"),
-    "table": ("kind", "arity", "nodes", "values"),
+def _arity(d: dict) -> int:
+    return _json_int(d.get("arity", 2), "arity")
+
+
+def _wmean_from_json(d: dict) -> NaryOp:
+    arity = _arity(d)
+    H = h_wmean(_nums(d["weights"]))
+    # a weighted mean's arity is its number of weights, written and compared
+    if H.arity != arity and "arity" in d:
+        raise InputError(f"wmean aggregation has arity {H.arity}, not {arity}")
+    return H
+
+
+# each aggregation kind: the fields nary_to_json writes, and its reader
+_NARYS = {
+    "min": (("kind", "arity"), lambda d: NaryOp("min", _arity(d))),
+    "max": (("kind", "arity"), lambda d: NaryOp("max", _arity(d))),
+    "prod": (("kind", "arity"), lambda d: NaryOp("prod", _arity(d))),
+    "wmean": (("kind", "arity", "weights"), _wmean_from_json),
+    "table": (
+        ("kind", "arity", "nodes", "values"),
+        lambda d: NaryOp("table", _arity(d), nodes=_nums(d["nodes"]), values=_nums(d["values"])),
+    ),
 }
 
 
 @reading("aggregation document")
 def nary_from_json(d: dict) -> NaryOp:
-    kind = d.get("kind")
-    if kind not in _NARY_FIELDS:
-        raise InputError(f"unknown aggregation kind {kind!r}")
-    _refuse_unknown(d, _NARY_FIELDS[kind], f"{kind} aggregation document")
-    arity = _json_int(d.get("arity", 2), "arity")
-    if kind == "wmean":
-        H = h_wmean([_num(w) for w in d["weights"]])
-    elif kind == "table":
-        H = h_table([_num(t) for t in d["nodes"]], [_num(v) for v in d["values"]], arity)
-    else:
-        H = NaryOp(kind, arity)
-    # a weighted mean's arity is its number of weights, written and compared
-    if H.arity != arity and "arity" in d:
-        raise InputError(f"{kind} aggregation has arity {H.arity}, not {arity}")
-    return H
+    return _read_kind(d, _NARYS, "aggregation")
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +525,7 @@ _INSTANCE_FIELDS = frozenset(
 
 @reading("instance document")
 def instance_from_json(d: dict) -> TheoremInstance:
-    inst = TheoremInstance.make(
+    inst = TheoremInstance(
         d["theorem"],
         op_from_json(d["op"]),
         measure_from_json(d["measure"]),

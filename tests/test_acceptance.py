@@ -185,7 +185,7 @@ def test_05_convex_transform_suite_with_preverified_hypotheses():
         n = int(rng.integers(1, 8))
         m = random_measure(rng, n)
         f = random_finite_function(rng, n)
-        inst = TheoremInstance.make("jensen", min_op(1.0), m, [f], phi=[power(p)])
+        inst = TheoremInstance("jensen", min_op(1.0), m, [f], phi=[power(p)])
         v = verify(inst)
         assert v.tol <= 1e-9
         assert v.holds, f"trial {trial}: p={p}, margin {v.margin}"

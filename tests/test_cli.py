@@ -93,7 +93,7 @@ def test_integrate_rejects_missing_file(capsys):
 
 def holding_instance():
     m = counting_measure(3, normalized=True)
-    return TheoremInstance.make(
+    return TheoremInstance(
         "chebyshev", min_op(1.0), m,
         [FiniteFunction((0.2, 0.5, 0.8)), FiniteFunction((0.1, 0.4, 0.9))],
         star=min_op(1.0),
@@ -102,7 +102,7 @@ def holding_instance():
 
 def failing_instance():
     m = counting_measure(2, normalized=True)
-    return TheoremInstance.make(
+    return TheoremInstance(
         "chebyshev", min_op(1.0), m,
         [FiniteFunction((0.1, 0.9)), FiniteFunction((0.8, 0.2))],
         star=min_op(1.0),
@@ -129,7 +129,7 @@ def test_verify_exit_one_when_inequality_fails(tmp_path, capsys):
 
 def test_verify_jensen_without_phi_gives_a_verdict(tmp_path, capsys):
     # a missing phi reads as the identity, in the verdict and in its condition
-    inst = TheoremInstance.make(
+    inst = TheoremInstance(
         "jensen", min_op(1.0), counting_measure(3, normalized=True),
         [FiniteFunction((0.2, 0.5, 0.8))],
     )
@@ -246,6 +246,10 @@ ONE_FUNCTION_INSTANCE = {k: v for k, v in STAR_INSTANCE.items() if k != "star"}
         (("integrate", "--integral", "sugeno"),
          dict(LEB_SQRT, function={"type": "lattice", "mode": "min", "parts": []}),
          "at least one part"),
+        # an H whose monotonicity check could not finish is refused as it is read
+        (("verify", "--theorem", "thm32"), dict(
+            ONE_FUNCTION_INSTANCE, theorem="thm32", functions=STAR_INSTANCE["functions"][:1] * 6,
+            H={"kind": "wmean", "weights": [1] * 6}), "at most arity 5"),
     ],
     ids=["verify-without-op", "integrate-without-functions", "verify-nan-parameter",
          "verify-non-monotone-table", "verify-negative-affine-offset", "integrate-e-string",
@@ -255,7 +259,7 @@ ONE_FUNCTION_INSTANCE = {k: v for k, v in STAR_INSTANCE.items() if k != "star"}
          "verify-unread-exponent", "verify-lam-alias", "verify-unknown-key",
          "verify-op-cpa", "verify-function-scale",
          "verify-unread-star",
-         "verify-power-overflow", "lattice-empty-parts"],
+         "verify-power-overflow", "lattice-empty-parts", "verify-H-arity-6"],
 )
 def test_bad_instance_document_exits_two(tmp_path, capsys, argv, doc, why):
     path = tmp_path / "inst.json"
@@ -361,11 +365,12 @@ PROBE_REFUSED = {
         dict(_INTERVAL_CHEB, star_pool=[{"kind": "prod", "cap": 0}]),
         {"respect_hypothesis": False},
         {"theorem": "thm32", "exponent_ranges": {"xi_iner": [0.5, 2.0]}},
+        {"theorem": "thm32", "exponent_ranges": {}, "H_pool": [{"kind": "min", "arity": 6}]},
     ] + [patch for patch, _ in PROBE_REFUSED.values()],
     ids=["trials-string", "n-range-reversed", "n-range-too-large", "negative-seed",
          "null-seed", "extended-cap-one", "unit-cap-half", "reverse-family-forward-op",
          "forward-family-reverse-op", "interval-star-cap-zero", "config-unknown-field",
-         "config-undrawn-range",
+         "config-undrawn-range", "config-H-arity-6",
          *PROBE_REFUSED],
 )
 def test_falsify_bad_config_exits_two_before_any_output(tmp_path, capsys, patch):

@@ -28,6 +28,7 @@ from fuzzyint import (
     instance_to_json,
     max_op,
     min_op,
+    op_to_json,
     probsum_op,
     prod_op,
     reproduce_paper,
@@ -261,6 +262,16 @@ def test_probe_does_not_call_gen_instance(monkeypatch):
     monkeypatch.setattr(harness, "gen_instance", counted)
     run_campaign(chebyshev_config(trials=3, star_pool=(min_op(1.0), prod_op(1.0), max_op(1.0))))
     assert calls == [0, 1, 2]
+
+
+def test_config_json_takes_the_dataclass_defaults():
+    doc = {"theorem": "chebyshev", "seed": 5, "trials": 7}
+    assert CampaignConfig.from_json(doc) == CampaignConfig(theorem_id="chebyshev", seed=5, trials=7)
+    # an empty op pool is the min op, from a document or from the library
+    assert CampaignConfig.from_json(dict(doc, op_pool=[])).op_pool == (min_op(),)
+    assert CampaignConfig("chebyshev", 5, 7, op_pool=()).to_json()["op_pool"] == [
+        op_to_json(min_op())
+    ]
 
 
 def test_config_json_round_trip():

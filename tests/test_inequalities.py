@@ -43,7 +43,7 @@ LEB = DistortedLebesgue(identity())
 
 
 def make(tid, op, m, fns, **kw):
-    return TheoremInstance.make(tid, op, m, fns, **kw)
+    return TheoremInstance(tid, op, m, fns, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +209,23 @@ def test_aggregation_boundedness_reports():
     assert check_H_boundedness(h_max(2), "below_by_max").passed
     with pytest.raises(InputError):
         check_H_boundedness(h_min(2), "sideways")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: ineq.NaryOp("min", k),
+        lambda k: h_prod(k),
+        lambda k: h_wmean([1.0] * k),
+        lambda k: h_table((0.0, 1.0), [0.0] * 2**k, k),
+    ],
+    ids=["min", "prod", "wmean", "table"],
+)
+def test_aggregation_arity_is_bounded(build):
+    # the monotonicity check of H grows as 9**arity
+    assert build(ineq.MAX_ARITY).arity == ineq.MAX_ARITY
+    with pytest.raises(InputError, match=f"at most arity {ineq.MAX_ARITY}"):
+        build(ineq.MAX_ARITY + 1)
 
 
 def test_arity_mismatch_rejected():

@@ -334,30 +334,30 @@ def build_instances():
     m = FiniteMonotoneMeasure(2, (0.0, 0.2, 0.5, 1.0))
     leb = DistortedLebesgue(identity())
     return [
-        TheoremInstance.make(
+        TheoremInstance(
             "chebyshev", min_op(1.0), m,
             [FiniteFunction((0.2, 0.6)), FiniteFunction((0.1, 0.9))],
             star=min_op(1.0),
         ),
-        TheoremInstance.make(
+        TheoremInstance(
             "holder", prod_op(1.0), leb,
             [PowerFunction(1.0), PowerFunction(2.0)],
             star=prod_op(1.0), exponents={"p": 2.0, "q": 2.0},
         ),
-        TheoremInstance.make(
+        TheoremInstance(
             "jensen", min_op(), leb, [PowerFunction(1.0)], phi=[power(2.0)],
         ),
-        TheoremInstance.make(
+        TheoremInstance(
             "lyapunov", min_op(), leb, [PowerFunction(1.0)],
             exponents={"r": 0.5, "s": 2.5},
         ),
-        TheoremInstance.make(
+        TheoremInstance(
             "thm32", min_op(), m,
             [FiniteFunction((0.2, 0.6)), FiniteFunction((0.1, 0.9))],
             H=h_min(2),
             exponents={"xi": (1.0, 1.0, 1.0), "omega": (1.0, 1.0, 1.0)},
         ),
-        TheoremInstance.make(
+        TheoremInstance(
             "rev_chebyshev", max_op(1.0), m,
             [FiniteFunction((0.2, 0.6)), FiniteFunction((0.1, 0.9))],
             star=probsum_op(),
@@ -367,8 +367,11 @@ def build_instances():
 
 @pytest.mark.parametrize("inst", build_instances(), ids=lambda i: i.theorem_id)
 def test_instance_round_trip_preserves_digest_and_verdict(inst):
+    # the constructor keeps lists as tuples and a dict of exponents frozen,
+    # so the instance equals, hashes and digests as its round trip
     d = instance_to_json(inst)
     back = instance_from_json(d)
+    assert back == inst and hash(back) == hash(inst)
     assert instance_digest(back) == instance_digest(inst)
     v1, v2 = verify(inst), verify(back)
     assert v1.holds == v2.holds
@@ -399,6 +402,14 @@ def test_instance_round_trip_preserves_digest_and_verdict(inst):
          "ground set size must be in 1..20"),
         (nary_from_json, {"kind": "min", "arity": 2.7},
          "malformed aggregation document: arity must be an integer, got 2.7"),
+        # in every family an unknown kind is reported before an unknown field
+        (op_from_json, {"kind": "spline", "spare": 1}, "^unknown op kind 'spline'$"),
+        (transform_from_json, {"kind": ["power"], "spare": 1},
+         r"^unknown transform kind \['power'\]$"),
+        (measure_from_json, {"type": "spline", "spare": 1}, "^unknown measure type 'spline'$"),
+        (function_from_json, {"type": ["finite"], "spare": 1},
+         r"^unknown function type \['finite'\]$"),
+        (nary_from_json, {"kind": "spline", "spare": 1}, "^unknown aggregation kind 'spline'$"),
     ],
 )
 def test_readers_report_missing_and_mistyped_fields_as_input_errors(reader, doc, needle):
@@ -474,7 +485,7 @@ def test_custom_table_op_round_trips_through_an_instance():
                "annihilator_zero", "bounded_above_by_min"),
         name="min3",
     )
-    inst = TheoremInstance.make(
+    inst = TheoremInstance(
         "chebyshev", op, FiniteMonotoneMeasure(2, (0.0, 0.25, 0.5, 1.0)),
         [FiniteFunction((0.2, 0.6)), FiniteFunction((0.1, 0.9))], star=op,
     )
