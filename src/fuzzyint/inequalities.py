@@ -55,7 +55,8 @@ contraction are each one :func:`~fuzzyint.ops.grid_check`: the grid is
 evaluated as arrays, one broadcast per step of the check, the witness is
 the first failing node in the order of a loop over the grid, and an
 out-of-domain evaluation raises only where that loop would have reached
-it.  The monotonicity of H and the exponent range are loops.
+it.  The exponent range is a loop, and the monotonicity of H is decided
+from its kind, a table's by comparing its adjacent stored entries.
 Every condition clamps the arguments of an op, ⋆ included, to that op's
 cap before evaluating it.  Powers and transforms on a grid are the
 scalar functions applied to each distinct value, so they are bit for bit
@@ -65,7 +66,6 @@ themselves keep the scalar op kernels.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import OrderedDict
 from contextvars import ContextVar
@@ -79,6 +79,7 @@ from .ops import (
     INF,
     BinaryOp,
     CheckResult,
+    FLAG_NONDECREASING,
     GridEval,
     InputError,
     KIND_MAX,
@@ -228,10 +229,9 @@ def _memo(fn):
 
 # the BinaryOp each named aggregation folds, built from its kind
 _FOLDS = {"min": min_op, "max": max_op, "prod": prod_op}
-# the largest arity k an aggregation takes: the monotonicity check of H makes
-# 9**k * k * 9 calls of H, and a verify of a drawn thm32 instance takes 0.3 s
-# of CPU at k = 4 and 3.6 s at k = 5 (Python 3.11, Xeon), over 10 times more
-# per step
+# the largest arity k an aggregation takes: the scalar-condition grid of an
+# n-ary family has 6**6 = 46,656 nodes at k = 5 and 5**7 = 78,125 at k = 6;
+# raise the bound only with a measurement of that grid
 MAX_ARITY = 5
 
 
@@ -365,17 +365,35 @@ def check_H_boundedness(H: NaryOp, mode: str) -> PropertyReport:
 
 
 @_memo
-def _check_H_nondecreasing(H: NaryOp, nodes: Sequence[float]) -> CheckResult:
-    for args in itertools.product(nodes, repeat=H.arity):
-        base = H(args)
-        for i in range(H.arity):
-            for d in nodes:
-                if d <= args[i]:
-                    continue
-                bumped = args[:i] + (d,) + args[i + 1 :]
-                if H(bumped) < base - _SCALAR_SLACK:
-                    return CheckResult("aggregator_nondecreasing", False, args + (i, d))
-    return CheckResult("aggregator_nondecreasing", True)
+def _check_H_nondecreasing(H: NaryOp) -> CheckResult:
+    """Whether H is nondecreasing on [0, inf)^k, decided from its kind.
+
+    min, max and prod fold a nondecreasing op over clamped arguments, and
+    a wmean has nonnegative weights, so they pass; ``binary`` is as
+    monotone as its op.  A table is a step function of nearest_index,
+    which is nondecreasing in finite x, so it is nondecreasing exactly
+    when each pair of axis-adjacent entries from nearest_index(nodes, 0)
+    up is ordered.  The witness is the lower cell's nodes, the axis and
+    the next node, of the first drop in a loop over cells, then axes.
+    """
+    name = "aggregator_nondecreasing"
+    if H.kind == "binary":
+        check = verify_op_properties(H.op, (FLAG_NONDECREASING,)).checks[0]
+        return CheckResult(name, check.passed, check.witness)
+    if H.kind != "table":
+        return CheckResult(name, True)
+    k, lo = H.arity, nearest_index(H.nodes, 0.0)
+    v = np.asarray(H.values, dtype=float).reshape((len(H.nodes),) * k)[(slice(lo, None),) * k]
+    drops = np.zeros(v.shape + (k,), dtype=bool)
+    for i in range(k):
+        pre = (slice(None),) * i
+        lower, upper = pre + (slice(None, -1),), pre + (slice(1, None),)
+        drops[lower + (Ellipsis, i)] = v[upper] < v[lower] - _SCALAR_SLACK
+    if not drops.any():
+        return CheckResult(name, True)
+    *cell, i = np.unravel_index(int(np.argmax(drops)), drops.shape)
+    witness = tuple(H.nodes[lo + j] for j in cell)
+    return CheckResult(name, False, witness + (int(i), H.nodes[lo + cell[i] + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +940,7 @@ def _verdict(inst: TheoremInstance, form, tol, skip_hypotheses: bool) -> Inequal
         if stmt.arity == 2:
             checks.append(_summary_check("star_properties", H.op))
         elif stmt.arity is None:
-            checks.append(_check_H_nondecreasing(H, _range_nodes(hi_data, 9)))
+            checks.append(_check_H_nondecreasing(H))
         if stmt.arity != 1:
             checks.append(_comonotone_check(inst.functions))
         checks.extend(_measure_checks(inst))

@@ -151,9 +151,10 @@ def check_table_nodes(nodes: Sequence[float]) -> None:
 def nearest_index(nodes: Sequence[float], x: float) -> int:
     """Index of the node nearest x in strictly increasing nodes.
 
-    A tie (x exactly halfway, after rounding the distances) goes to the
-    lower node.  When no node lies at a finite distance (x nan or
-    infinite), the answer is node 0.
+    Only the two nodes around x compete, and a tie (x exactly halfway,
+    after rounding the distances) goes to the lower one, so the index is
+    nondecreasing in finite x.  When no node lies at a finite distance (x
+    nan or infinite), the answer is node 0.
     """
     j = bisect_left(nodes, x)
     if j == 0:
@@ -161,10 +162,6 @@ def nearest_index(nodes: Sequence[float], x: float) -> int:
     k, d = j - 1, abs(nodes[j - 1] - x)
     if j < len(nodes) and abs(nodes[j] - x) < d:
         k, d = j, abs(nodes[j] - x)
-    else:
-        # rounded distances can tie over several lower nodes; take the first
-        while k > 0 and abs(nodes[k - 1] - x) == d:
-            k -= 1
     return k if d < INF else 0
 
 
@@ -180,13 +177,6 @@ def nearest_indices(nodes: Sequence[float], x) -> np.ndarray:
     right = (j > 0) & (j < len(t)) & (d_hi < d_lo)
     k = np.where(right, hi, lo)
     d = np.where(right, d_hi, d_lo)
-    walk = ~right
-    while True:
-        prev = np.maximum(k - 1, 0)
-        walk &= (k > 0) & (np.abs(t[prev] - x) == d)
-        if not walk.any():
-            break
-        k = np.where(walk, prev, k)
     return np.where((j > 0) & (d < INF), k, 0)
 
 

@@ -74,7 +74,8 @@ def ref_nearest_index(nodes, x):
     best, bd = 0, math.inf
     for i, t in enumerate(nodes):
         d = abs(t - x)
-        if d < bd:
+        # a tie of rounded distances goes to the node next to x, the lower of the two around it
+        if d < bd or (d == bd < math.inf and t < x):
             best, bd = i, d
     return best
 
@@ -434,10 +435,13 @@ def test_nearest_node_tie_goes_to_the_lower_node():
     for x in (-1.0, math.inf, -math.inf, math.nan):
         assert nearest_index(nodes, x) == ref_nearest_index(nodes, x)
     assert nearest_indices(nodes, np.array([2.0, math.inf, math.nan])).tolist() == [3, 0, 0]
-    # rounded distances tie over several lower nodes: the first one wins
+    # rounded distances tie over several lower nodes: the one next to x wins, so the
+    # index never falls back as x grows, even where every distance rounds to x
     nodes = (0.0, 1e-300, 1.0)
-    assert ref_nearest_index(nodes, 0.5) == nearest_index(nodes, 0.5) == 0
-    assert nearest_indices(nodes, np.array([0.5, 0.75])).tolist() == [0, 2]
+    assert ref_nearest_index(nodes, 0.5) == nearest_index(nodes, 0.5) == 1
+    assert nearest_indices(nodes, np.array([0.5, 0.75])).tolist() == [1, 2]
+    assert ref_nearest_index(nodes, 1e17) == nearest_index(nodes, 1e17) == 2
+    assert nearest_indices(nodes, np.array([1e17])).tolist() == [2]
 
 
 finite_st = st.floats(-1e3, 1e3, allow_nan=False)
@@ -454,6 +458,9 @@ def test_nearest_node_lookups_match_the_linear_scan(nodes, xs):
     want = [ref_nearest_index(nodes, x) for x in xs]
     assert [nearest_index(nodes, x) for x in xs] == want
     assert nearest_indices(nodes, np.array(xs, dtype=float)).tolist() == want
+    # nondecreasing in finite x, which the table rule of H's monotonicity rests on
+    sorted_idx = [nearest_index(nodes, x) for x in sorted(x for x in xs if math.isfinite(x))]
+    assert sorted_idx == sorted(sorted_idx)
 
 
 def test_table_nodes_must_increase():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from functools import reduce
 
+import numpy as np
 import pytest
 
 from fuzzyint import (
+    CheckResult,
     ConstFunction,
     DistortedLebesgue,
     FiniteFunction,
@@ -20,6 +24,7 @@ from fuzzyint import (
     check_H_boundedness,
     check_scalar_condition,
     counting_measure,
+    custom_op,
     h_max,
     h_min,
     h_prod,
@@ -33,8 +38,10 @@ from fuzzyint import (
     prod_op,
     smallest_op,
     verify,
+    verify_op_properties,
 )
 from fuzzyint import inequalities as ineq
+from fuzzyint.ops import nearest_index
 from fuzzyint.serialize import dumps_17g
 from conftest import fresh_stores, rng_of, random_measure
 
@@ -222,7 +229,7 @@ def test_aggregation_boundedness_reports():
     ids=["min", "prod", "wmean", "table"],
 )
 def test_aggregation_arity_is_bounded(build):
-    # the monotonicity check of H grows as 9**arity
+    # the scalar-condition grid of an n-ary family grows with the arity
     assert build(ineq.MAX_ARITY).arity == ineq.MAX_ARITY
     with pytest.raises(InputError, match=f"at most arity {ineq.MAX_ARITY}"):
         build(ineq.MAX_ARITY + 1)
@@ -480,7 +487,74 @@ def test_decreasing_table_aggregation_is_flagged_with_its_witness():
     )
     check = verify(inst).hypothesis_report.check("aggregator_nondecreasing")
     assert not check.passed
-    assert check.witness == (0.0, 0.0, 0, 0.1875)
+    assert check.witness == (0.0, 0.0, 0, 0.25)
+
+
+def test_dip_between_table_nodes_fails_the_monotonicity_check():
+    # (a + b)/2 on 21 nodes, except H(0.05, 0.05) = 0 below H(0, 0.05) = 0.025
+    nodes = [i / 20 for i in range(21)]
+    values = [(a + b) / 2 for a in nodes for b in nodes]
+    values[21 + 1] = 0.0
+    inst = make(
+        "thm32", min_op(), counting_measure(2, normalized=True),
+        [FiniteFunction((0.2, 1.0)), FiniteFunction((0.1, 0.9))], H=h_table(nodes, values),
+    )
+    check = verify(inst).hypothesis_report.check("aggregator_nondecreasing")
+    assert not check.passed
+    assert check.witness == (0.0, 0.05, 0, 0.05)
+
+
+def _table_walk(H):
+    """Witness of the first drop of H from a cell reachable from [0, inf) to its axis successor."""
+    nodes = H.nodes
+    for cell in itertools.product(range(nearest_index(nodes, 0.0), len(nodes)), repeat=H.arity):
+        args = tuple(nodes[j] for j in cell)
+        for i, j in enumerate(cell):
+            if j + 1 < len(nodes):
+                bumped = args[:i] + (nodes[j + 1],) + args[i + 1 :]
+                if H(bumped) < H(args) - 1e-12:
+                    return args + (i, nodes[j + 1])
+    return None
+
+
+def test_table_monotonicity_agrees_with_a_walk_of_its_cells():
+    rng = rng_of(26)
+    fails = negative = 0
+    with fresh_stores():
+        for _ in range(300):
+            k, n = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            nodes = sorted({round(float(x), 2) for x in rng.uniform(-0.5, 1.5, n)})
+            # monotone along every axis, then one entry lowered in about half the tables
+            steps = [np.cumsum(rng.integers(0, 3, len(nodes)) / 4.0) for _ in range(k)]
+            values = reduce(np.add.outer, steps)
+            if rng.random() < 0.5:
+                values.flat[int(rng.integers(values.size))] -= float(rng.integers(1, 4)) / 4.0
+            H = h_table(nodes, values.ravel().tolist(), k)
+            want = _table_walk(H)
+            check = ineq._check_H_nondecreasing(H)
+            assert (check.passed, check.witness) == (want is None, want)
+            fails += want is not None
+            negative += nodes[0] < 0.0
+    assert 50 < fails < 250 and negative > 100
+
+
+def test_fold_and_wmean_aggregations_pass_without_a_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ineq.NaryOp, "__call__", lambda H, args: calls.append(args))
+    with fresh_stores():
+        for k in range(1, ineq.MAX_ARITY + 1):
+            for H in (h_min(k), h_max(k), h_prod(k), h_wmean([1.0] * k)):
+                check = ineq._check_H_nondecreasing(H)
+                assert check == CheckResult("aggregator_nondecreasing", True)
+    assert calls == []
+
+
+def test_binary_aggregation_fails_with_its_op_witness():
+    bad = custom_op(lambda a, b: a * (1.0 - b), 0.0, 1.0)
+    want = verify_op_properties(bad, ("nondecreasing",)).check("nondecreasing")
+    check = ineq._check_H_nondecreasing(ineq.NaryOp("binary", op=bad))
+    assert not check.passed and want.witness is not None
+    assert check.witness == want.witness
 
 
 def test_infinite_integrals_fail_the_finiteness_check():
