@@ -6,9 +6,12 @@ with functions drawn from a small closed family: piecewise linear, scaled
 powers coef * x**p, constants, and min/max/transform wrappers over those.
 The family is closed under exactly the pointwise combinations the
 integral layer needs; anything else raises :class:`UnsupportedError`
-instead of silently approximating.  A member is nondecreasing unless it
-holds a descending pwl piece, so only pairs with such a piece are checked
-for comonotonicity on sample points; the rest are comonotone by structure.
+instead of silently approximating.  The min or max of two powers of one
+coef is the one of them that dominates on [0, 1], not a lattice
+combination, so it integrates as that power does.  A member is
+nondecreasing unless it holds a descending pwl piece, so only pairs with
+such a piece are checked for comonotonicity on sample points; the rest
+are comonotone by structure.
 
 Monotone transforms are strictly increasing maps of [0, inf) into
 itself, built from powers, affine maps a*x + b with a > 0 and b >= 0,
@@ -590,12 +593,20 @@ def _pwl_merge(star: BinaryOp, f: PwlFunction, g: PwlFunction) -> PwlFunction:
     return PwlFunction(tuple(xs), tuple(ys))
 
 
+def _equal_coef_powers(f, g) -> bool:
+    """f and g are powers of one coef, so they are ordered on [0, 1]: they
+    agree at 0 and at 1, and the larger exponent lies below in between."""
+    return isinstance(f, PowerFunction) and isinstance(g, PowerFunction) and f.coef == g.coef
+
+
 def pointwise_combine(star: BinaryOp, f, g):
     """Pointwise star(f, g), exact within the closed family.
 
     Finite carriers accept any operation.  On the unit interval only
     combinations with exact level-set profiles are formed; anything else
-    raises UnsupportedError.
+    raises UnsupportedError.  The min or max of two powers c * x**a and
+    c * x**b of one coef is the input that dominates on [0, 1], itself:
+    the larger exponent under min, the smaller under max, f when a == b.
     """
     if isinstance(f, FiniteFunction) and isinstance(g, FiniteFunction):
         if f.n != g.n:
@@ -615,6 +626,8 @@ def pointwise_combine(star: BinaryOp, f, g):
             return g if sup_value(g) <= f.c else CappedFunction(g, f.c)
         if isinstance(f, (PwlFunction,)) and isinstance(g, (PwlFunction,)):
             return _pwl_merge(star, f, g)
+        if _equal_coef_powers(f, g):
+            return f if f.p >= g.p else g
         if is_nondecreasing_on_unit(f) and is_nondecreasing_on_unit(g):
             return LatticeCombo("min", (f, g))
         raise UnsupportedError("pointwise min outside the closed family")
@@ -625,6 +638,8 @@ def pointwise_combine(star: BinaryOp, f, g):
             return g if f.c <= 0.0 else FlooredFunction(g, f.c)
         if isinstance(f, (PwlFunction,)) and isinstance(g, (PwlFunction,)):
             return _pwl_merge(star, f, g)
+        if _equal_coef_powers(f, g):
+            return f if f.p <= g.p else g
         if is_nondecreasing_on_unit(f) and is_nondecreasing_on_unit(g):
             return LatticeCombo("max", (f, g))
         raise UnsupportedError("pointwise max outside the closed family")

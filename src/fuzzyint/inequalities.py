@@ -42,13 +42,13 @@ hypothesis-violating regimes can be studied deliberately.
 
 Campaigns reuse pure results heavily, so scalar conditions (per
 parameter set), op reports, measure contractions, the monotonicity of H
-and, on the unit interval, each function's side integral (by value,
-since drawn functions and measures recur) are memoised by
-:func:`_memo`; a hit returns the result of the first computation,
-evaluation count included.  Each memoised function keeps its own newest
-``_CACHE_LIMIT`` results, oldest out first, since drawn exponents make a
-new condition on nearly every trial.  The stores belong to the running
-campaign; calls outside one share a module default.
+and, on the unit interval, every integral of a verdict, left side
+included (by value, since drawn functions and measures recur) are
+memoised by :func:`_memo`; a hit returns the result of the first
+computation, evaluation count included.  Each memoised function keeps
+its own newest ``_CACHE_LIMIT`` results, oldest out first, since drawn
+exponents make a new condition on nearly every trial.  The stores belong
+to the running campaign; calls outside one share a module default.
 
 A scalar condition, the bound of H by min or max and the measure
 contraction are each one :func:`~fuzzyint.ops.grid_check`: the grid is
@@ -726,11 +726,13 @@ def _integral(reverse: bool, op: BinaryOp, measure: Measure, g) -> IntegralResul
     return universal_integral(op, measure, g)
 
 
-# a side integral on the unit interval, memoised by value: drawn interval
-# functions and measures come from small lattices, so the same side recurs
-# across trials.  A finite table is drawn afresh each trial and integrates
+# an integral on the unit interval, memoised by value: drawn interval
+# functions and measures come from small lattices, so the same integral
+# recurs across trials, and a left side that is one of its functions (the
+# min or max of two powers of one coef is one of them) reads that side's
+# integral.  A finite table is drawn afresh each trial and integrates
 # exactly for less than hashing it costs, so it is not memoised
-_interval_side = _memo(_integral)
+_interval_integral = _memo(_integral)
 
 
 def _combine_nary(H: NaryOp, funcs: Sequence) -> object:
@@ -921,9 +923,9 @@ def _verdict(inst: TheoremInstance, form, tol, skip_hypotheses: bool) -> Inequal
     H, sides, pre, xi, om = form
     combined = _combine_nary(H, tuple(map(apply_transform, pre, inst.functions)))
     rev = stmt.reverse
-    r_lhs = _integral(rev, inst.op, inst.measure, apply_transform(sides[0][0], combined))
+    side = _interval_integral if isinstance(inst.measure, DistortedLebesgue) else _integral
+    r_lhs = side(rev, inst.op, inst.measure, apply_transform(sides[0][0], combined))
     lhs = _tapply(sides[0][1], r_lhs.value)
-    side = _interval_side if isinstance(inst.measure, DistortedLebesgue) else _integral
     parts = []
     results = [r_lhs]
     for t, f, (inner, outer) in zip(pre, inst.functions, sides[1:]):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fuzzyint import (
     CappedFunction,
     ConstFunction,
+    DistortedLebesgue,
     FiniteFunction,
     FlooredFunction,
     InputError,
@@ -36,8 +37,11 @@ from fuzzyint import (
     power,
     probsum_op,
     prod_op,
+    semiconormed_integral,
+    smallest_op,
     sum_op,
     sup_value,
+    universal_integral,
 )
 from fuzzyint import functions
 from fuzzyint.functions import COMONOTONE_SAMPLES, EXTENDED_TOP
@@ -381,6 +385,62 @@ def test_pointwise_combine_finite_vectors():
     g = FiniteFunction((0.5, 0.5))
     h = pointwise_combine(min_op(1.0), f, g)
     assert h.values == (0.2, 0.5)
+
+
+@pytest.mark.parametrize("coef", [1.0, 0.8, 0.5])
+@pytest.mark.parametrize("a, b", [(0.5, 2.0), (2.0, 0.5), (1.25, 1.3), (1.5, 1.5)])
+def test_min_and_max_of_powers_of_one_coef_are_the_dominating_input(a, b, coef):
+    f, g = PowerFunction(a, coef), PowerFunction(b, coef)
+    # on [0, 1] the larger exponent lies below; at a == b the first is kept
+    assert pointwise_combine(min_op(), f, g) is (f if a >= b else g)
+    assert pointwise_combine(max_op(), f, g) is (f if a <= b else g)
+
+
+@pytest.mark.parametrize("star", [min_op(), max_op()], ids=lambda op: op.kind)
+def test_other_lattice_pairs_of_a_power_keep_their_result_type(star):
+    x2 = PowerFunction(2.0)
+    ramp = PwlFunction((0.0, 1.0), (0.1, 0.9))
+    capped_or_floored = CappedFunction if star.kind == "min" else FlooredFunction
+    cases = [
+        (PowerFunction(2.0, 0.8), x2, LatticeCombo),
+        (PowerFunction(0.5, 0.5), PowerFunction(0.5), LatticeCombo),
+        (x2, ramp, LatticeCombo),
+        (ramp, x2, LatticeCombo),
+        (x2, ConstFunction(0.4), capped_or_floored),
+        (ConstFunction(0.4), x2, capped_or_floored),
+    ]
+    for f, g, kind in cases:
+        h = pointwise_combine(star, f, g)
+        assert type(h) is kind, (f, g, h)
+        if kind is LatticeCombo:
+            assert h == LatticeCombo(star.kind, (f, g))
+
+
+def _pedigree(r):
+    # the value with its sign of zero, and everything the optimiser reports
+    return (r.value, math.copysign(1.0, r.value), r.tol, r.candidates, r.exact)
+
+
+def test_lattice_of_powers_of_one_coef_integrates_as_the_power_it_returns():
+    """The power pointwise_combine returns integrates bit for bit as the
+    lattice combination it stands for, forward and in reverse."""
+    rng = rng_of(27)
+    exponents = [k / 20 for k in range(5, 51)]  # the 0.05 lattice in [0.25, 2.5]
+    distortions = [power(k / 20) for k in range(10, 41)]  # power(0.5 ... 2.0)
+    forward = (min_op(), prod_op(), smallest_op(0.5))
+    reverse = (max_op(), sum_op(), probsum_op())
+    for _ in range(2000):
+        coef = (1.0, 0.8, 0.5)[rng.integers(3)]
+        f = PowerFunction(exponents[rng.integers(len(exponents))], coef)
+        g = PowerFunction(exponents[rng.integers(len(exponents))], coef)
+        m = DistortedLebesgue(distortions[rng.integers(len(distortions))])
+        star = (min_op(), max_op())[rng.integers(2)]
+        h = pointwise_combine(star, f, g)
+        combo = LatticeCombo(star.kind, (f, g))
+        for integral, ops in ((universal_integral, forward), (semiconormed_integral, reverse)):
+            op = ops[rng.integers(3)]
+            want = _pedigree(integral(op, m, combo))
+            assert _pedigree(integral(op, m, h)) == want, (f, g, m, star.kind, op.kind)
 
 
 # nondecreasing representatives of every unit-interval function kind, so

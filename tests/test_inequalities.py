@@ -41,6 +41,7 @@ from fuzzyint import (
     verify_op_properties,
 )
 from fuzzyint import inequalities as ineq
+from fuzzyint import integrals
 from fuzzyint.ops import nearest_index
 from fuzzyint.serialize import dumps_17g
 from conftest import fresh_stores, rng_of, random_measure
@@ -382,7 +383,7 @@ def test_condition_results_are_cached_across_verifies():
 
 
 def _side_keys():
-    return list(ineq._stores.get().get(ineq._interval_side.__wrapped__, ()))
+    return list(ineq._stores.get().get(ineq._interval_integral.__wrapped__, ()))
 
 
 # interval instances built around a zero of either sign; the two of a pair
@@ -450,6 +451,26 @@ def test_a_side_that_cannot_hash_is_integrated_uncached():
         got = dumps_17g(verify(build(listed)).to_json())
         assert len(_side_keys()) == 1
         assert got == dumps_17g(verify(build(PwlFunction((0.0, 0.5, 1.0), (0.0, 0.25, 1.0)))).to_json())
+
+
+def test_an_interval_left_side_that_is_a_function_reads_its_side_integral(monkeypatch):
+    runs = []
+    optimize = integrals._optimize
+    monkeypatch.setattr(integrals, "_optimize", lambda *args: runs.append(args) or optimize(*args))
+
+    def integrations(inst):
+        runs.clear()
+        with fresh_stores():
+            verify(inst)
+        return len(runs)
+
+    # min(x², x) is x² itself, so the left side is the first side's integral
+    inst = make("chebyshev", min_op(1.0), LEB, [PowerFunction(2.0), PowerFunction(1.0)], star=min_op(1.0))
+    assert integrations(inst) == 2
+    # a finite left side is integrated afresh, as each finite side is
+    finite = make("chebyshev", min_op(1.0), counting_measure(2, normalized=True),
+                  [FiniteFunction((0.04, 1.0)), FiniteFunction((0.2, 1.0))], star=min_op(1.0))
+    assert integrations(finite) == 3
 
 
 # ---------------------------------------------------------------------------
